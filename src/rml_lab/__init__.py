@@ -3,12 +3,12 @@ regroup-median loss estimation.
 
 Subpackages
 -----------
-numerics   deterministic kernel: softmax/CE, medians, weighted sampling, RNG streams
+numerics   deterministic kernel: softmax, weighted sampling, RNG streams
 data       synthetic generators, IDX files, dataset container, splits
 noise      symmetric / pairflip / feature-dependent label corruption
 model      linear and MLP classifiers with analytic gradients, SGD, EMA teacher
 rml        selection distributions, regroup-median estimation, loss cache
-trainer    CE / regroup-median / semi-supervised training loops
+trainer    one training loop: CE / regroup-median / semi-supervised modes
 verify     statistical checks of the estimator's guarantees
 cli        config-driven command-line entry points
 """
@@ -22,15 +22,12 @@ from .noise import (
     inject_pairflip,
     inject_symmetric,
 )
-from .numerics import RngStream, cross_entropy, median_of, softmax
+from .numerics import RngStream, softmax
 from .rml import (
     LossCache,
     RegroupParams,
     batch_weights,
-    correct_estimate,
-    estimate_for_sample,
     probability_shift,
-    propagate_estimate,
     refresh_cache,
     regroup_median,
     selection_probabilities,
@@ -49,11 +46,8 @@ __all__ = [
     "RngStream",
     "RunConfig",
     "batch_weights",
-    "correct_estimate",
     "corruption_mask",
-    "cross_entropy",
     "ema_update",
-    "estimate_for_sample",
     "forward",
     "init_model",
     "init_optimizer",
@@ -62,9 +56,7 @@ __all__ = [
     "inject_symmetric",
     "make_blobs",
     "make_two_moons",
-    "median_of",
     "probability_shift",
-    "propagate_estimate",
     "read_idx",
     "refresh_cache",
     "regroup_median",

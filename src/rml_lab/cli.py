@@ -126,11 +126,6 @@ def _run_config_from_dict(section: dict) -> RunConfig:
         raise ConfigError(f"run: {exc}") from exc
 
 
-def _run_config_to_dict(config: RunConfig) -> dict:
-    body = asdict(config)
-    return body
-
-
 @dataclass
 class ExperimentConfig:
     dataset: DatasetSpec
@@ -174,7 +169,7 @@ class ExperimentConfig:
             "dataset": self.dataset.to_dict(),
             "model": self.model.to_dict(),
             "optimizer": self.optimizer.to_dict(),
-            "run": _run_config_to_dict(self.run),
+            "run": asdict(self.run),
             "test_fraction": self.test_fraction,
             "output_dir": self.output_dir,
         }
@@ -318,11 +313,11 @@ def cmd_verify(suite: str, seed: int, trials: int | None = None) -> dict:
     rng = RngStream(seed, STREAM_VERIFY)
     reports = []
     if suite in ("prop1", "all"):
-        reports.append(verify.check_prop1(trials or 10_000, 100, rng.child(1)))
+        reports.append(verify.check_prop1(10_000 if trials is None else trials, 100, rng.child(1)))
     if suite in ("prop2", "all"):
         experiment = verify.MomExperiment(
             base=verify.Population("normal", 1.0, 1.0),
-            n=6, k=10, epsilon_r=1.2, trials=trials or 100_000,
+            n=6, k=10, epsilon_r=1.2, trials=100_000 if trials is None else trials,
         )
         reports.append(verify.check_prop2(experiment, rng.child(2)))
     if suite in ("mom", "all"):

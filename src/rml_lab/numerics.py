@@ -1,5 +1,5 @@
-"""Deterministic numerical kernel: softmax/cross-entropy primitives, order
-statistics, weighted sampling, and reproducible counter-based random streams.
+"""Deterministic numerical kernel: softmax primitives, the loss floor,
+weighted sampling, and reproducible counter-based random streams.
 
 Everything here is pure given its inputs.  Random functions take an explicit
 RngStream; two streams built from the same (seed, stream_id) replay the same
@@ -9,7 +9,6 @@ sequence bit for bit, across runs and machines.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 # Additive floor inside log() so losses stay finite; keeps exp(-loss*(loss+eps))
 # strictly positive downstream.
@@ -28,17 +27,28 @@ def _splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-_PHILOX_TEMPLATE = {
-    "bit_generator": "Philox",
-    "state": {
-        "counter": np.zeros(4, dtype=np.uint64),
-        "key": np.zeros(2, dtype=np.uint64),
-    },
-    "buffer": np.zeros(4, dtype=np.uint64),
-    "buffer_pos": 4,
-    "has_uint32": 0,
-    "uinteger": 0,
-}
+def _child_id(stream_id: int, index: int) -> int:
+    """Stream id of child `index` of stream `stream_id`."""
+    return _splitmix64((stream_id ^ _splitmix64(index & _MASK64)) & _MASK64)
+
+
+def _philox_state(seed: int, stream_id: int) -> dict:
+    """A fresh Philox state keyed by [seed, stream_id], at counter 0.
+
+    Assigning it to `Philox.state` is bit-identical to
+    Philox(key=[seed, stream_id]) and much cheaper: the keyed constructor
+    still gathers OS entropy for a SeedSequence it never uses, which
+    dominates the cost of creating many small per-sample streams.
+    """
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed, stream_id], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 class RngStream:
@@ -61,15 +71,8 @@ class RngStream:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            # Key assignment through the state dict instead of
-            # Philox(key=...): the keyed constructor still gathers OS
-            # entropy for a SeedSequence it never uses, which dominates the
-            # cost of creating many small per-sample streams.  Output is
-            # bit-identical to Philox(key=[seed, stream_id]).
             bg = np.random.Philox(seed=0)
-            _PHILOX_TEMPLATE["state"]["key"][0] = self.seed
-            _PHILOX_TEMPLATE["state"]["key"][1] = self.stream_id
-            bg.state = _PHILOX_TEMPLATE
+            bg.state = _philox_state(self.seed, self.stream_id)
             self._gen = np.random.Generator(bg)
         return self._gen
 
@@ -82,8 +85,7 @@ class RngStream:
 
     def child(self, index: int) -> "RngStream":
         """Derive an independent substream keyed by `index`."""
-        mixed = _splitmix64((self.stream_id ^ _splitmix64(index & _MASK64)) & _MASK64)
-        return RngStream(self.seed, mixed)
+        return RngStream(self.seed, _child_id(self.stream_id, index))
 
     # Thin draws over the wrapped generator.
     def random(self, size=None):
@@ -115,14 +117,13 @@ def child_generator_pool(stream: RngStream):
     """
     bg = np.random.Philox(seed=0)
     gen = np.random.Generator(bg)
-    key = _PHILOX_TEMPLATE["state"]["key"]
-    base_seed = stream.seed
-    base_id = stream.stream_id
+    # This pool's own state: only the child id in its key changes per fetch.
+    state = _philox_state(stream.seed, 0)
+    key = state["state"]["key"]
 
     def fetch(index: int) -> np.random.Generator:
-        key[0] = base_seed
-        key[1] = _splitmix64((base_id ^ _splitmix64(index & _MASK64)) & _MASK64)
-        bg.state = _PHILOX_TEMPLATE
+        key[1] = _child_id(stream.stream_id, index)
+        bg.state = state
         return gen
 
     return fetch
@@ -151,14 +152,6 @@ def logsumexp(values) -> float:
     v = np.asarray(values, dtype=np.float64)
     m = np.max(v)
     return float(m + np.log(np.sum(np.exp(v - m))))
-
-
-def cross_entropy(probs, label: int) -> float:
-    """-log(probs[label] + floor), clipped at 0 so a perfect prediction is 0."""
-    p = np.asarray(probs, dtype=np.float64)
-    if not 0 <= label < p.shape[-1]:
-        raise ValueError(f"cross_entropy: label {label} out of range [0, {p.shape[-1]})")
-    return float(max(0.0, -np.log(p[label] + LOSS_FLOOR)))
 
 
 def _race_draw(w: np.ndarray, count: int, rng: RngStream) -> np.ndarray:
@@ -193,37 +186,3 @@ def sample_without_replacement(weights, count: int, rng: RngStream) -> np.ndarra
     if count == 0:
         return np.empty(0, dtype=np.int64)
     return _race_draw(w, count, rng)
-
-
-def median_of(values) -> float:
-    """Exact middle order statistic; even length takes the midpoint of the two."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("median_of: empty input")
-    return float(np.median(v))
-
-
-def truncated_normal(mean, stdev, low, high, rng: RngStream, size=None):
-    """Sample the normal(mean, stdev) restricted to [low, high].
-
-    Inverse-CDF sampling (scipy truncnorm.ppf on this stream's uniforms), so
-    far-truncated intervals terminate where naive rejection would not.
-    stdev == 0 degenerates to a point mass clipped into the interval.
-    """
-    if not low < high:
-        raise ValueError(f"truncated_normal: need low < high, got [{low}, {high}]")
-    if stdev < 0:
-        raise ValueError("truncated_normal: stdev must be >= 0")
-    if stdev == 0:
-        value = min(max(mean, low), high)
-        if size is None:
-            return float(value)
-        return np.full(size, value, dtype=np.float64)
-    a = (low - mean) / stdev
-    b = (high - mean) / stdev
-    u = rng.random(size)
-    x = stats.truncnorm.ppf(u, a, b, loc=mean, scale=stdev)
-    x = np.clip(x, low, high)
-    if size is None:
-        return float(x)
-    return x

@@ -155,53 +155,6 @@ def _class_selection_weights(class_losses: np.ndarray, params: RegroupParams) ->
     return softmax(-class_losses)
 
 
-def _estimate(own_loss: float, class_losses: np.ndarray, weights: np.ndarray,
-              params: RegroupParams, rng: RngStream) -> float:
-    """Draw and regroup against `class_losses`; `weights` must carry zero in
-    the sample's own slot so it cannot vote for its own loss."""
-    available = int(np.count_nonzero(weights > 0))
-    k = params.k if params.n * params.k <= available else available // params.n
-    if k == 0:
-        return own_loss
-    # weights come from a softmax and count <= available, so the race core
-    # can skip re-validation (this path runs once per sample per epoch).
-    draw = _race_draw(weights, params.n * k, rng)
-    local = params if k == params.k else replace(params, k=k)
-    estimate, _ = regroup_median(own_loss, class_losses[draw], local, rng)
-    return estimate
-
-
-def estimate_for_sample(sample_index: int, dataset: Dataset, cache: LossCache,
-                        params: RegroupParams, rng: RngStream) -> float:
-    """One sample's regroup-median estimate from the cached epoch losses.
-
-    Candidates are the sample's class peers, the sample itself excluded so it
-    cannot vote for its own loss.  When the pool (or its positive-probability
-    part) cannot fill n groups of k, k shrinks; when even one round of groups
-    cannot be filled, the sample's own cached loss is returned.
-    """
-    y = int(dataset.observed_labels[sample_index])
-    members = dataset.class_index[y]
-    own = float(cache.loss[sample_index])
-    if members.size <= 1:
-        return own
-    class_losses = cache.loss[members]
-    weights = _class_selection_weights(class_losses, params)
-    weights[int(np.searchsorted(members, sample_index))] = 0.0
-    return _estimate(own, class_losses, weights, params, rng)
-
-
-def propagate_estimate(cache: LossCache, sample_index: int, fresh_loss: float) -> float:
-    """Carry the cached estimate to a fresh loss: fresh * estimate/plain."""
-    prior = cache.loss[sample_index]
-    return float(fresh_loss * cache.loss_rml[sample_index] / max(prior, LOSS_FLOOR))
-
-
-def correct_estimate(estimate: float, original_loss: float) -> float:
-    """Keep the estimate only when it does not exceed the plain loss."""
-    return min(estimate, original_loss)
-
-
 def batch_weights(cache: LossCache, batch_indices: np.ndarray,
                   fresh_losses: np.ndarray) -> np.ndarray:
     """Per-sample weights w_i so the weighted batch mean (1/B) sum w_i*l_i
@@ -210,10 +163,46 @@ def batch_weights(cache: LossCache, batch_indices: np.ndarray,
     fresh = np.asarray(fresh_losses, dtype=np.float64)
     propagated = fresh * cache.loss_rml[idx] / np.maximum(cache.loss[idx], LOSS_FLOOR)
     corrected = np.minimum(propagated, fresh)
-    weights = np.clip(corrected / np.maximum(fresh, LOSS_FLOOR), 0.0, 1.0)
-    # Reduction equivalence: the weighted mean reproduces the estimate mean.
-    assert abs(float((weights * fresh).mean() - corrected.mean())) < 1e-9
-    return weights
+    return np.clip(corrected / np.maximum(fresh, LOSS_FLOOR), 0.0, 1.0)
+
+
+def regroup_estimates(losses: np.ndarray, dataset: Dataset, params: RegroupParams,
+                      rng: RngStream) -> np.ndarray:
+    """Corrected regroup-median estimate of every sample from plain losses.
+
+    Candidates are the sample's class peers, the sample itself excluded so it
+    cannot vote for its own loss.  When the positive-weight pool cannot fill
+    n groups of k, k shrinks; when it cannot fill n groups of one (a
+    singleton class included), the estimate is the sample's own loss.  Every
+    estimate is clamped to the plain loss.  Sample i draws only from
+    `rng.child(i)`, so the result does not depend on the visiting order.
+    """
+    losses = np.asarray(losses, dtype=np.float64)
+    estimates = losses.copy()
+    # Re-keyed generator pool: bit-identical to rng.child(i) but without a
+    # fresh BitGenerator object per sample.
+    fetch = child_generator_pool(rng)
+    for members in dataset.class_index:
+        if members.size <= 1:
+            continue
+        class_losses = losses[members]
+        base_weights = _class_selection_weights(class_losses, params)
+        for pos in range(members.size):
+            weights = base_weights.copy()
+            weights[pos] = 0.0
+            available = int(np.count_nonzero(weights > 0))
+            k = params.k if params.n * params.k <= available else available // params.n
+            if k == 0:
+                continue
+            own = float(class_losses[pos])
+            gen = fetch(int(members[pos]))
+            # weights come from a softmax and n * k <= available, so the race
+            # core can skip re-validation.
+            draw = _race_draw(weights, params.n * k, gen)
+            local = params if k == params.k else replace(params, k=k)
+            estimate, _ = regroup_median(own, class_losses[draw], local, gen)
+            estimates[members[pos]] = min(estimate, own)
+    return estimates
 
 
 def refresh_cache(cache: LossCache, dataset: Dataset, model: "model_ops.ModelState",
@@ -221,31 +210,15 @@ def refresh_cache(cache: LossCache, dataset: Dataset, model: "model_ops.ModelSta
     """End-of-epoch rebuild: one full forward pass records plain losses, then
     every sample gets a fresh corrected regroup-median estimate.
 
-    Per-sample randomness is keyed by (epoch, sample index), so the rebuild
-    is reproducible and could run in any order.
+    The new cache's epoch is the refresh index, cache.epoch + 1; sample i
+    draws from rng.child(refresh index).child(i), so the rebuild is
+    reproducible and could run in any order.
     """
     probs = model_ops.forward(model, dataset.features)
     fresh = model_ops.per_sample_ce(probs, dataset.observed_labels)
-    new = LossCache(loss=fresh, loss_rml=np.empty_like(fresh), epoch=cache.epoch + 1)
-    # Re-keyed generator pool: bit-identical to epoch_stream.child(i) but
-    # without a fresh BitGenerator object per sample.
-    fetch = child_generator_pool(rng.child(new.epoch))
-    for members in dataset.class_index:
-        if members.size == 0:
-            continue
-        class_losses = fresh[members]
-        if members.size == 1:
-            new.loss_rml[members[0]] = class_losses[0]
-            continue
-        base_weights = _class_selection_weights(class_losses, params)
-        for pos in range(members.size):
-            i = int(members[pos])
-            weights = base_weights.copy()
-            weights[pos] = 0.0
-            est = _estimate(float(class_losses[pos]), class_losses, weights,
-                            params, fetch(i))
-            new.loss_rml[i] = correct_estimate(est, float(class_losses[pos]))
-    return new
+    epoch = cache.epoch + 1
+    return LossCache(fresh, regroup_estimates(fresh, dataset, params, rng.child(epoch)),
+                     epoch)
 
 
 def dump_cache(cache: LossCache, dataset: Dataset, path) -> None:

@@ -1,16 +1,20 @@
-"""Training loops: plain cross-entropy, regroup-median-loss training, and the
-semi-supervised variant with teacher/student agreement filtering, whose
-unlabeled samples train on the teacher's predicted class.
+"""Training: one epoch loop (`_train`) with three modes.  `ce` is plain
+cross-entropy; `rml` weights each batch by the regroup-median loss cache
+after a CE warmup; `rml_semi` runs as `rml` up to common_epochs, then filters
+samples by teacher/student agreement and trains the unlabeled ones on the
+teacher's predicted class.  train_ce, train_rml and train_rml_semi are the
+entry points, one per mode.
 
-All loops are deterministic under RunConfig.seed: batch shuffles, cache
-refreshes, and the semi-phase orderings run on derived streams keyed by epoch
-(and sample where applicable), so a rerun reproduces metrics bit for bit.
+The loop is deterministic under RunConfig.seed: batch shuffles and the
+semi-phase orderings run on derived streams keyed by epoch, cache refreshes
+on streams keyed by refresh index and sample, so a rerun reproduces metrics
+bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -146,34 +150,6 @@ def _weighted_epoch(dataset: Dataset, model: ModelState, teacher: ModelState | N
     return total / max(count, 1)
 
 
-def train_ce(dataset: Dataset, model: ModelState, opt: OptimizerState,
-             config: RunConfig, test: Dataset | None = None):
-    """Plain cross-entropy baseline."""
-    rows = []
-    for epoch in range(config.total_epochs):
-        train_loss = _weighted_epoch(dataset, model, None, opt, config, epoch, None)
-        rows.append(_epoch_metrics(epoch, train_loss, dataset, test, model,
-                                   config.regroup.epsilon_bias, float("nan")))
-    return model, rows
-
-
-def train_rml(dataset: Dataset, model: ModelState, teacher: ModelState,
-              opt: OptimizerState, config: RunConfig, test: Dataset | None = None):
-    """Warmup on plain CE to populate the loss cache, then weighted batches
-    from the frozen cache with an end-of-epoch cache rebuild."""
-    refresh_stream = RngStream(config.seed, STREAM_REFRESH)
-    cache = rml.empty_cache(dataset.n_samples)
-    rows = []
-    for epoch in range(config.total_epochs):
-        active = cache if epoch >= config.warmup_epochs else None
-        train_loss = _weighted_epoch(dataset, model, teacher, opt, config, epoch, active)
-        if epoch + 1 >= config.warmup_epochs:
-            cache = rml.refresh_cache(cache, dataset, model, config.regroup, refresh_stream)
-        rows.append(_epoch_metrics(epoch, train_loss, dataset, test, model,
-                                   config.regroup.epsilon_bias, float("nan")))
-    return model, teacher, rows
-
-
 def separate(dataset: Dataset, student: ModelState, teacher: ModelState):
     """Samples whose student AND teacher predictions match the observed label
     are kept as labeled; the rest become the unlabeled pool."""
@@ -182,18 +158,6 @@ def separate(dataset: Dataset, student: ModelState, teacher: ModelState):
     agree = (student_pred == dataset.observed_labels) & (teacher_pred == dataset.observed_labels)
     idx = np.arange(dataset.n_samples)
     return idx[agree], idx[~agree]
-
-
-def mixup_batch(features: np.ndarray, labels: np.ndarray,
-                unlabeled_features: np.ndarray, rng: RngStream):
-    """Convex blend toward the labeled batch: gamma ~ U[0,1] reflected into
-    [0.5, 1], loss target stays the labeled batch's labels."""
-    if features.shape != unlabeled_features.shape:
-        raise ValueError("mixup_batch: labeled/unlabeled feature shapes must match")
-    gamma = float(rng.random())
-    gamma = max(gamma, 1.0 - gamma)
-    mixed = gamma * features + (1.0 - gamma) * unlabeled_features
-    return mixed, labels, gamma
 
 
 def _semi_epoch(dataset: Dataset, model: ModelState, teacher: ModelState,
@@ -226,32 +190,69 @@ def _semi_epoch(dataset: Dataset, model: ModelState, teacher: ModelState,
     return total / max(count, 1)
 
 
+def _train(mode: str, dataset: Dataset, model: ModelState, teacher: ModelState | None,
+           opt: OptimizerState, config: RunConfig, test: Dataset | None) -> list[MetricsRow]:
+    """The epoch loop behind the entry points; `mode` must be config.mode.
+
+    After the warmup, a weighted epoch reads the cache refreshed after the
+    previous epoch.  A semi epoch reads it only when the agreement split
+    labels nothing, so refreshes stop before the semi phase and that
+    fallback refreshes on demand, keyed as the skipped end-of-epoch refresh.
+    `ce` runs without a teacher: no EMA and no cache.
+    """
+    if config.mode != mode:
+        raise ValueError(f"train_{mode}: config.mode is {config.mode!r}, not {mode!r}")
+    refresh_stream = RngStream(config.seed, STREAM_REFRESH)
+    cache = rml.empty_cache(dataset.n_samples)
+    # First semi epoch; `rml` never reaches it, so it keeps the refresh after
+    # its last epoch.
+    semi_from = config.common_epochs if mode == "rml_semi" else config.total_epochs + 1
+    rows = []
+    for epoch in range(config.total_epochs):
+        labeled_fraction = float("nan")
+        if epoch >= semi_from:
+            labeled, unlabeled = separate(dataset, model, teacher)
+            labeled_fraction = labeled.size / dataset.n_samples
+            if labeled.size:
+                train_loss = _semi_epoch(dataset, model, teacher, opt, config, epoch,
+                                         labeled, unlabeled)
+            else:
+                # Nothing labeled: a weighted epoch, from the refresh skipped
+                # after epoch - 1 (the model has not moved since).
+                skipped = replace(cache, epoch=epoch - config.warmup_epochs - 1)
+                cache = rml.refresh_cache(skipped, dataset, model, config.regroup,
+                                          refresh_stream)
+                train_loss = _weighted_epoch(dataset, model, teacher, opt, config,
+                                             epoch, cache)
+        else:
+            active = cache if teacher is not None and epoch >= config.warmup_epochs else None
+            train_loss = _weighted_epoch(dataset, model, teacher, opt, config, epoch, active)
+        if teacher is not None and config.warmup_epochs <= epoch + 1 < semi_from:
+            cache = rml.refresh_cache(cache, dataset, model, config.regroup, refresh_stream)
+        rows.append(_epoch_metrics(epoch, train_loss, dataset, test, model,
+                                   config.regroup.epsilon_bias, labeled_fraction))
+    return rows
+
+
+def train_ce(dataset: Dataset, model: ModelState, opt: OptimizerState,
+             config: RunConfig, test: Dataset | None = None):
+    """Plain cross-entropy baseline."""
+    return model, _train("ce", dataset, model, None, opt, config, test)
+
+
+def train_rml(dataset: Dataset, model: ModelState, teacher: ModelState,
+              opt: OptimizerState, config: RunConfig, test: Dataset | None = None):
+    """Warmup on plain CE to populate the loss cache, then weighted batches
+    from the frozen cache with an end-of-epoch cache rebuild."""
+    return model, teacher, _train("rml", dataset, model, teacher, opt, config, test)
+
+
 def train_rml_semi(dataset: Dataset, model: ModelState, teacher: ModelState,
                    opt: OptimizerState, config: RunConfig, test: Dataset | None = None):
     """Common training up to common_epochs; after that, each epoch separates
     the samples by student/teacher agreement and trains on the labeled set
     plus teacher-labeled unlabeled partners (see _semi_epoch)."""
-    refresh_stream = RngStream(config.seed, STREAM_REFRESH)
-    cache = rml.empty_cache(dataset.n_samples)
-    rows = []
-    for epoch in range(config.total_epochs):
-        labeled_fraction = float("nan")
-        semi = epoch >= config.common_epochs
-        if semi:
-            labeled, unlabeled = separate(dataset, model, teacher)
-            labeled_fraction = labeled.size / dataset.n_samples
-        if not semi or labeled.size == 0:
-            # Common body; also the fallback when separation labels nothing.
-            active = cache if epoch >= config.warmup_epochs else None
-            train_loss = _weighted_epoch(dataset, model, teacher, opt, config, epoch, active)
-        else:
-            train_loss = _semi_epoch(dataset, model, teacher, opt, config, epoch,
-                                     labeled, unlabeled)
-        if epoch + 1 >= config.warmup_epochs:
-            cache = rml.refresh_cache(cache, dataset, model, config.regroup, refresh_stream)
-        rows.append(_epoch_metrics(epoch, train_loss, dataset, test, model,
-                                   config.regroup.epsilon_bias, labeled_fraction))
-    return model, teacher, rows
+    return model, teacher, _train("rml_semi", dataset, model, teacher, opt, config, test)
 
 
 def write_metrics_csv(rows: list[MetricsRow], path) -> None:

@@ -63,6 +63,8 @@ class MomExperiment:
     contamination_weight: float = 0.0
 
     def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("MomExperiment: trials must be >= 1")
         if self.epsilon_r <= 0:
             raise ValueError("MomExperiment: epsilon_r must be > 0")
         if not 0.0 <= self.contamination_weight < 1.0:
@@ -113,6 +115,8 @@ def check_prop1(trials: int, m: int, rng: RngStream,
     the pool constant beta must be positive, and the sign of the change must
     flip exactly where l^2 crosses beta.
     """
+    if trials < 1:
+        raise ValueError("check_prop1: trials must be >= 1")
     if m < 2:
         raise ValueError("check_prop1: need m >= 2")
     low, high = loss_range
@@ -199,8 +203,6 @@ def check_mom_robustness(ns: tuple[int, ...] = (2, 4, 6),
     """
     from itertools import combinations, product
 
-    from .numerics import median_of
-
     cases = 0
     violations = 0
     for n in ns:
@@ -220,7 +222,7 @@ def check_mom_robustness(ns: tuple[int, ...] = (2, 4, 6),
                         for pos, sign in zip(positions, signs):
                             corrupted[pos] = sign * corrupt_value
                         untouched = np.delete(pool, positions)
-                        estimate = median_of(corrupted)
+                        estimate = float(np.median(corrupted))
                         cases += 1
                         if not untouched.min() <= estimate <= untouched.max():
                             violations += 1

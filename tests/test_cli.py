@@ -156,6 +156,11 @@ class TestCmdVerify:
         report = cmd_verify("mom", seed=0)
         assert report["pass"]
 
+    @pytest.mark.parametrize("suite", ["prop1", "prop2"])
+    def test_zero_trials_rejected(self, suite):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            cmd_verify(suite, seed=0, trials=0)
+
     def test_all_aggregates(self):
         report = cmd_verify("all", seed=0, trials=500)
         checks = [r["check"] for r in report["reports"]]

@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rml_lab import rml
 from rml_lab.data import Dataset, feature_stats, make_blobs, standardize
 from rml_lab.model import init_model, init_optimizer
 from rml_lab.noise import inject_symmetric
@@ -14,13 +15,11 @@ from rml_lab.rml import (
     LossCache,
     RegroupParams,
     batch_weights,
-    correct_estimate,
     dump_cache,
     empty_cache,
-    estimate_for_sample,
     probability_shift,
-    propagate_estimate,
     refresh_cache,
+    regroup_estimates,
     regroup_median,
     selection_probabilities,
 )
@@ -147,75 +146,100 @@ class TestRegroupMedian:
 
 
 def _cache_dataset(losses_by_class):
-    """Dataset with one feature per sample and a cache with given losses."""
+    """Dataset with one feature per sample, and the per-sample losses."""
     labels = np.concatenate([
         np.full(len(v), c, dtype=np.int64) for c, v in enumerate(losses_by_class)
     ])
     features = np.zeros((labels.size, 1))
     ds = Dataset(features, labels, len(losses_by_class), true_labels=labels.copy())
-    loss = np.concatenate([np.asarray(v, float) for v in losses_by_class])
-    return ds, LossCache(loss=loss, loss_rml=loss.copy(), epoch=0)
+    return ds, np.concatenate([np.asarray(v, float) for v in losses_by_class])
+
+
+def _estimate_first(losses_by_class, params, rng):
+    """Sample 0's estimate, through the refresh's per-class estimator."""
+    ds, losses = _cache_dataset(losses_by_class)
+    return regroup_estimates(losses, ds, params, rng)[0]
 
 
 class TestEstimateForSample:
     def test_identical_losses(self):
-        ds, cache = _cache_dataset([[2.0] * 30])
-        est = estimate_for_sample(0, ds, cache, RegroupParams(n=2, k=3), RngStream(0))
+        est = _estimate_first([[2.0] * 30], RegroupParams(n=2, k=3), RngStream(0))
         assert est == 2.0
 
     def test_singleton_class_returns_own_loss(self):
-        ds, cache = _cache_dataset([[7.5], [1.0] * 10])
-        est = estimate_for_sample(0, ds, cache, RegroupParams(n=2, k=2), RngStream(1))
+        est = _estimate_first([[7.5], [1.0] * 10], RegroupParams(n=2, k=2), RngStream(1))
         assert est == 7.5
 
     def test_outlier_pulled_into_candidate_range(self):
         tight = 1.0 + 0.01 * np.arange(12)
-        ds, cache = _cache_dataset([np.concatenate([[50.0], tight])])
         params = RegroupParams(n=2, k=2)
         for seed in range(30):
-            est = estimate_for_sample(0, ds, cache, params, RngStream(seed))
+            est = _estimate_first([np.concatenate([[50.0], tight])], params, RngStream(seed))
             assert tight.min() <= est <= tight.max()
 
-    def test_shrink_fallback_reduces_k(self):
-        # 9 candidates cannot fill 2 groups of 20; k shrinks to 4.
-        ds, cache = _cache_dataset([np.linspace(1, 2, 10)])
-        est = estimate_for_sample(0, ds, cache, RegroupParams(n=2, k=20), RngStream(2))
-        assert 1.0 <= est <= 2.0
+    def test_shrink_fallback_reduces_k(self, monkeypatch):
+        # 9 candidates cannot fill 2 groups of 20; k shrinks to 4.  Each
+        # estimate is then a median of group means of 4 peers and its own
+        # loss, which a spy on regroup_median sees.
+        ds, losses = _cache_dataset([np.linspace(1, 2, 10)])
+        seen = []
+
+        def spy(sample_loss, selected, params, rng):
+            seen.append((params.n, params.k, len(selected)))
+            return regroup_median(sample_loss, selected, params, rng)
+
+        monkeypatch.setattr(rml, "regroup_median", spy)
+        est = regroup_estimates(losses, ds, RegroupParams(n=2, k=20), RngStream(2))
+        assert seen == [(2, 4, 8)] * 10
+        assert (1.0 <= est).all() and (est <= losses).all()
 
     def test_self_excluded_from_candidates(self):
         # Sample 0 is an outlier; with every other loss equal, any draw that
         # could include sample 0 would contaminate a mean above v.
-        ds, cache = _cache_dataset([np.concatenate([[100.0], np.full(8, 3.0)])])
         params = RegroupParams(n=2, k=4)   # needs all 8 non-self candidates
         for seed in range(20):
-            est = estimate_for_sample(0, ds, cache, params, RngStream(seed))
+            est = _estimate_first([np.concatenate([[100.0], np.full(8, 3.0)])],
+                                  params, RngStream(seed))
             assert est == 3.0
 
 
 class TestCacheUpdates:
+    """Propagation (fresh * estimate / plain) and the clamp, on the paths
+    training runs: batch_weights and the refresh's estimator."""
+
     def test_propagate_arithmetic(self):
         cache = LossCache(np.array([4.0]), np.array([1.0]), epoch=0)
-        assert propagate_estimate(cache, 0, 2.0) == pytest.approx(0.5)
+        w = batch_weights(cache, np.array([0]), np.array([2.0]))
+        assert w[0] * 2.0 == pytest.approx(0.5)
 
     def test_propagate_identity_ratio(self):
         cache = LossCache(np.array([3.0]), np.array([3.0]), epoch=0)
-        assert propagate_estimate(cache, 0, 1.7) == pytest.approx(1.7)
+        w = batch_weights(cache, np.array([0]), np.array([1.7]))
+        assert w[0] * 1.7 == pytest.approx(1.7)
 
     def test_propagate_zero_floor(self):
+        # A zero prior loss hits the floor: 0.5 / 1e-12 scales the fresh loss
+        # far up, and the clamp brings it back to the fresh loss.
         cache = LossCache(np.array([0.0]), np.array([0.5]), epoch=0)
-        out = propagate_estimate(cache, 0, 1.0)
-        assert out == pytest.approx(1.0 * 0.5 / 1e-12)
-        assert correct_estimate(out, 1.0) == 1.0
+        w = batch_weights(cache, np.array([0]), np.array([1.0]))
+        assert w[0] == 1.0
 
     def test_correct_estimate(self):
-        assert correct_estimate(5.0, 2.0) == 2.0
-        assert correct_estimate(2.0, 5.0) == 2.0
-        assert correct_estimate(3.0, 3.0) == 3.0
+        # A far outlier's median estimate lands among its peers, below its
+        # own loss; the low-loss peers' estimates are clamped to their own.
+        ds, losses = _cache_dataset([np.concatenate([[50.0], np.full(6, 2.0), [1.0]])])
+        est = regroup_estimates(losses, ds, RegroupParams(n=2, k=3), RngStream(3))
+        assert est[0] == 2.0
+        assert est[-1] == 1.0
 
-    @given(st.floats(0, 1e6), st.floats(0, 1e6))
+    @given(st.lists(st.floats(0, 1e3), min_size=1, max_size=40),
+           st.integers(1, 3), st.integers(0, 2**32))
     @settings(max_examples=100, deadline=None)
-    def test_correct_estimate_never_exceeds_original(self, estimate, original):
-        assert correct_estimate(estimate, original) <= original
+    def test_correct_estimate_never_exceeds_original(self, values, classes, seed):
+        ds, losses = _cache_dataset([values[c::classes] for c in range(classes)
+                                     if values[c::classes]])
+        est = regroup_estimates(losses, ds, RegroupParams(n=2, k=2), RngStream(seed))
+        assert (est <= losses).all()
 
 
 class TestBatchWeights:
@@ -229,17 +253,20 @@ class TestBatchWeights:
         w = batch_weights(cache, np.array([0]), np.array([2.0]))
         assert w[0] == 0.0
 
-    def test_weighted_mean_matches_estimate_mean(self):
-        rng = np.random.default_rng(5)
-        loss_prev = rng.uniform(0.1, 5.0, 64)
-        est_prev = np.minimum(rng.uniform(0.05, 5.0, 64), loss_prev)
+    @given(st.lists(st.tuples(st.floats(0, 5), st.floats(0, 1), st.floats(0.05, 5)),
+                    min_size=1, max_size=64))
+    @example([(0.0, 0.5, 1.0)])   # zero prior loss: the floor, then the clamp
+    @settings(max_examples=200, deadline=None)
+    def test_weighted_mean_matches_estimate_mean(self, rows):
+        # Each row: prior plain loss, estimate as a share of it, fresh loss.
+        loss_prev, share, fresh = (np.array(col) for col in zip(*rows))
+        est_prev = share * np.maximum(loss_prev, 0.5)
         cache = LossCache(loss_prev, est_prev, epoch=0)
-        idx = rng.choice(64, size=32, replace=False)
-        fresh = rng.uniform(0.05, 5.0, 32)
-        w = batch_weights(cache, idx, fresh)
-        propagated = np.minimum(fresh * est_prev[idx] / loss_prev[idx], fresh)
-        np.testing.assert_allclose((w * fresh).mean(), propagated.mean(), atol=1e-9)
+        w = batch_weights(cache, np.arange(fresh.size), fresh)
+        propagated = fresh * est_prev / np.maximum(loss_prev, 1e-12)
+        corrected = np.minimum(propagated, fresh)
         assert (w >= 0.0).all() and (w <= 1.0).all()
+        np.testing.assert_allclose((w * fresh).mean(), corrected.mean(), rtol=1e-12, atol=1e-12)
 
 
 def _trained_noisy_setup(seed=0, noise=0.4, separation=5.0, epochs=60, lr=0.5):

@@ -5,15 +5,14 @@ from rml_lab.data import feature_stats, make_blobs, split, standardize
 from rml_lab.model import accuracy, init_model, init_optimizer
 from rml_lab.noise import corruption_mask, inject_symmetric
 from rml_lab.numerics import RngStream
-from rml_lab.rml import RegroupParams, empty_cache, refresh_cache
+from rml_lab.rml import LossCache, RegroupParams, empty_cache, refresh_cache
 from dataclasses import asdict
 
 from rml_lab import model as model_ops
-from rml_lab import trainer
+from rml_lab import rml, trainer
 from rml_lab.trainer import (
     MetricsRow,
     RunConfig,
-    mixup_batch,
     separate,
     train_ce,
     train_rml,
@@ -177,27 +176,6 @@ class TestSeparate:
         assert labeled_clean > overall_clean
 
 
-class TestMixup:
-    def test_gamma_reflected(self):
-        rng = RngStream(0, 99)
-        draw = RngStream(0, 99).random()
-        x = np.zeros((2, 3))
-        xu = np.ones((2, 3))
-        mixed, _, gamma = mixup_batch(x, np.array([0, 1]), xu, rng)
-        assert gamma == max(draw, 1.0 - draw)
-        assert 0.5 <= gamma <= 1.0
-        np.testing.assert_allclose(mixed, 1.0 - gamma)
-
-    def test_identical_inputs_noop(self):
-        x = np.random.default_rng(1).normal(size=(4, 2))
-        mixed, labels, _ = mixup_batch(x, np.arange(4), x, RngStream(1))
-        np.testing.assert_allclose(mixed, x, rtol=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mixup_batch(np.zeros((2, 3)), np.array([0, 1]), np.zeros((3, 3)), RngStream(2))
-
-
 class TestTrainRmlSemi:
     def test_all_common_matches_train_rml(self):
         train, test = _noisy_split(seed=12, per_class=40)
@@ -277,6 +255,98 @@ class TestTrainRmlSemi:
             _, _, rows = train_rml_semi(train, student, teacher, opt, config, test)
             outputs.append(rows)
         rows_equal(outputs[0], outputs[1])
+
+
+def _spy_refreshes(monkeypatch):
+    """Record every cache refresh made by the training loop."""
+    made = []
+    real = rml.refresh_cache
+
+    def spy(cache, dataset, model, params, rng):
+        made.append(real(cache, dataset, model, params, rng))
+        return made[-1]
+
+    monkeypatch.setattr(rml, "refresh_cache", spy)
+    return made
+
+
+class TestRefreshSchedule:
+    def test_rml_refreshes_after_every_epoch_from_warmup(self, monkeypatch):
+        made = _spy_refreshes(monkeypatch)
+        train, test = _noisy_split(seed=15, per_class=30)
+        config = RunConfig(mode="rml", total_epochs=6, batch_size=32, warmup_epochs=2,
+                           seed=15, regroup=RegroupParams(n=2, k=3))
+        student, teacher = _fresh_models(train, seed=15)
+        train_rml(train, student, teacher, init_optimizer(student, 0.3, 6), config, test)
+        assert [c.epoch for c in made] == list(range(6 - 2 + 1))
+
+    def test_semi_phase_makes_no_refresh(self, monkeypatch):
+        made = _spy_refreshes(monkeypatch)
+        train, test = _noisy_split(seed=15, per_class=30)
+        config = RunConfig(mode="rml_semi", total_epochs=10, common_epochs=6,
+                           batch_size=32, warmup_epochs=2, seed=15,
+                           regroup=RegroupParams(n=2, k=3))
+        student, teacher = _fresh_models(train, seed=15)
+        _, _, rows = train_rml_semi(train, student, teacher,
+                                    init_optimizer(student, 0.3, 10), config, test)
+        assert all(r.labeled_fraction > 0 for r in rows[6:])
+        assert [c.epoch for c in made] == list(range(6 - 2))
+
+    def test_empty_split_trains_weighted_from_current_losses(self, monkeypatch):
+        # separate labels nothing in semi epochs 7 and 8: those epochs train
+        # weighted, from a cache refreshed on the current model and keyed as
+        # the end-of-epoch refresh after epoch - 1 would have been.
+        made = _spy_refreshes(monkeypatch)
+        train, test = _noisy_split(seed=16, per_class=30)
+        config = RunConfig(mode="rml_semi", total_epochs=10, common_epochs=6,
+                           batch_size=32, warmup_epochs=2, seed=16,
+                           regroup=RegroupParams(n=2, k=3))
+        real_separate, real_weighted = trainer.separate, trainer._weighted_epoch
+        weighted = {}
+
+        def forced_separate(dataset, s, t):
+            forced_separate.calls += 1
+            labeled, unlabeled = real_separate(dataset, s, t)
+            if forced_separate.calls in (2, 3):   # epochs 7 and 8
+                return labeled[:0], np.arange(dataset.n_samples)
+            return labeled, unlabeled
+
+        forced_separate.calls = 0
+
+        def spy_weighted(dataset, model, teacher, opt, cfg, epoch, cache):
+            if epoch >= config.common_epochs:
+                plain = model_ops.per_sample_ce(model_ops.forward(model, dataset.features),
+                                                dataset.observed_labels)
+                np.testing.assert_array_equal(cache.loss, plain)
+                expected = refresh_cache(
+                    LossCache(cache.loss, cache.loss_rml, epoch - config.warmup_epochs - 1),
+                    dataset, model, config.regroup, RngStream(16, trainer.STREAM_REFRESH))
+                np.testing.assert_array_equal(cache.loss_rml, expected.loss_rml)
+                weighted[epoch] = cache.epoch
+            return real_weighted(dataset, model, teacher, opt, cfg, epoch, cache)
+
+        monkeypatch.setattr(trainer, "separate", forced_separate)
+        monkeypatch.setattr(trainer, "_weighted_epoch", spy_weighted)
+        student, teacher = _fresh_models(train, seed=16)
+        _, _, rows = train_rml_semi(train, student, teacher,
+                                    init_optimizer(student, 0.3, 10), config, test)
+        assert weighted == {7: 7 - 2, 8: 8 - 2}
+        assert [r.labeled_fraction for r in rows[7:9]] == [0.0, 0.0]
+        assert len(made) == 6 - 2 + 2
+
+
+class TestModeGuard:
+    @pytest.mark.parametrize("entry, mode", [("train_ce", "rml"), ("train_rml", "ce"),
+                                             ("train_rml", "rml_semi"),
+                                             ("train_rml_semi", "rml")])
+    def test_entry_point_rejects_other_mode(self, entry, mode):
+        train, _ = _noisy_split(seed=17, per_class=10)
+        student, teacher = _fresh_models(train, seed=17)
+        opt = init_optimizer(student, 0.3, 2)
+        config = RunConfig(mode=mode, total_epochs=2, warmup_epochs=1)
+        args = (student, opt) if entry == "train_ce" else (student, teacher, opt)
+        with pytest.raises(ValueError, match="config.mode"):
+            getattr(trainer, entry)(train, *args, config)
 
 
 class TestRunConfigValidation:

@@ -38,6 +38,10 @@ class TestCheckProp1:
         with pytest.raises(ValueError):
             check_prop1(10, 1, RngStream(1, 5))
 
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            check_prop1(0, 100, RngStream(1, 5))
+
 
 class TestMomEstimate:
     def test_delegates_bit_for_bit(self):
@@ -69,6 +73,11 @@ class TestDeviationBound:
 
 
 class TestCheckProp2:
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            check_prop2(MomExperiment(base=Population("normal", 1.0, 1.0), trials=0),
+                        RngStream(0, 6))
+
     def test_point_mass_population(self):
         exp = MomExperiment(base=Population("point", 1.0), n=6, k=10,
                             epsilon_r=1.0, trials=2000)
