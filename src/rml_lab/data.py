@@ -53,6 +53,9 @@ class Dataset:
         self.observed_labels = np.asarray(self.observed_labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise ValueError("Dataset: features must be 2-D (N, d)")
+        finite = np.isfinite(self.features).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"Dataset: non-finite feature in row {int(np.argmin(finite))}")
         n = self.features.shape[0]
         if self.observed_labels.shape != (n,):
             raise ValueError("Dataset: observed_labels length must match features")
@@ -203,20 +206,29 @@ def save_dataset(dataset: Dataset, path) -> None:
             f.write(dataset.true_labels.astype(np.uint8).tobytes())
 
 
+def read_exact(f, size: int, path) -> bytes:
+    """The next `size` bytes of binary file `f`; fewer means it is truncated."""
+    chunk = f.read(size)
+    if len(chunk) != size:
+        raise ValueError(f"truncated file {path}: {len(chunk)} of {size} bytes "
+                         f"at offset {f.tell() - len(chunk)}")
+    return chunk
+
+
 def load_dataset(path) -> Dataset:
     with open(path, "rb") as f:
         magic = f.read(len(CONTAINER_MAGIC))
         if magic != CONTAINER_MAGIC:
             raise ValueError(f"load_dataset: bad magic in {path}")
-        version, flags = struct.unpack("<II", f.read(8))
+        version, flags = struct.unpack("<II", read_exact(f, 8, path))
         if version != CONTAINER_VERSION:
             raise ValueError(f"load_dataset: unsupported version {version} in {path}")
-        n, d, c = struct.unpack("<QQQ", f.read(24))
-        features = np.frombuffer(f.read(n * d * 8), dtype="<f8").reshape(n, d).copy()
-        observed = np.frombuffer(f.read(n), dtype=np.uint8).astype(np.int64)
+        n, d, c = struct.unpack("<QQQ", read_exact(f, 24, path))
+        features = np.frombuffer(read_exact(f, n * d * 8, path), dtype="<f8").reshape(n, d).copy()
+        observed = np.frombuffer(read_exact(f, n, path), dtype=np.uint8).astype(np.int64)
         true = None
         if flags & 1:
-            true = np.frombuffer(f.read(n), dtype=np.uint8).astype(np.int64)
+            true = np.frombuffer(read_exact(f, n, path), dtype=np.uint8).astype(np.int64)
         return Dataset(features, observed, int(c), true_labels=true)
 
 

@@ -10,11 +10,12 @@ average of the student parameters.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, read_exact
 from .numerics import LOSS_FLOOR, RngStream, softmax
 
 CHECKPOINT_MAGIC = b"RMLCKPT\x01"
@@ -112,22 +113,24 @@ def forward(model: ModelState, features: np.ndarray) -> np.ndarray:
 
 def per_sample_ce(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Floored cross-entropy per row; never negative, never infinite."""
+    bad = (labels < 0) | (labels >= probs.shape[1])
+    if bad.any():
+        raise ValueError(f"per_sample_ce: label {int(labels[bad][0])} is outside "
+                         f"[0, {probs.shape[1]})")
     picked = probs[np.arange(labels.shape[0]), labels]
     return np.maximum(0.0, -np.log(picked + LOSS_FLOOR))
 
 
 def loss_and_grad(model: ModelState, features: np.ndarray, labels: np.ndarray,
-                  weights: np.ndarray | None = None):
-    """Per-sample plain CE losses and the gradient of the weighted batch mean
-    (1/B) sum_i w_i * ce_i.  Weights default to 1 and act as constants."""
+                  weigh: Callable[[np.ndarray], np.ndarray] | None = None):
+    """One forward and backward pass over a batch.
+
+    `weigh` maps this pass's per-sample plain CE losses to the weights w_i
+    (None means w_i = 1), which act as constants.  Returns the weighted
+    per-sample losses w_i * ce_i and the gradient of their batch mean.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     batch = labels.shape[0]
-    if weights is None:
-        weights = np.ones(batch)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-            raise ValueError("loss_and_grad: weights must be finite and >= 0")
     logits, hidden_act = _logits_parts(model, features)
     finite_rows = np.isfinite(logits).all(axis=1)
     if not finite_rows.all():
@@ -135,6 +138,12 @@ def loss_and_grad(model: ModelState, features: np.ndarray, labels: np.ndarray,
         raise NumericalFailure(f"non-finite loss at sample {bad}", bad)
     probs = softmax(logits, axis=1)
     losses = per_sample_ce(probs, labels)
+    if weigh is None:
+        weights = np.ones(batch)
+    else:
+        weights = np.asarray(weigh(losses), dtype=np.float64)
+        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+            raise ValueError("loss_and_grad: weights must be finite and >= 0")
 
     # d(-log(p_y + floor))/dlogits = p_y/(p_y + floor) * (probs - onehot);
     # the alpha factor keeps the gradient exact under the loss floor.
@@ -151,7 +160,7 @@ def loss_and_grad(model: ModelState, features: np.ndarray, labels: np.ndarray,
         w1, b1, w2, b2 = model.params
         dh = (dlogits @ w2.T) * (1.0 - hidden_act ** 2)
         grads = [x.T @ dh, dh.sum(axis=0), hidden_act.T @ dlogits, dlogits.sum(axis=0)]
-    return losses, grads
+    return weights * losses, grads
 
 
 def sgd_step(model: ModelState, opt: OptimizerState, grads: list[np.ndarray],
@@ -203,12 +212,13 @@ def load_checkpoint(path) -> ModelState:
     with open(path, "rb") as f:
         if f.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ValueError(f"load_checkpoint: bad magic in {path}")
-        tag, dim, num_classes, hidden = struct.unpack("<BIII", f.read(13))
-        (n_params,) = struct.unpack("<I", f.read(4))
+        tag, dim, num_classes, hidden = struct.unpack("<BIII", read_exact(f, 13, path))
+        (n_params,) = struct.unpack("<I", read_exact(f, 4, path))
         params = []
         for _ in range(n_params):
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+            (ndim,) = struct.unpack("<B", read_exact(f, 1, path))
+            shape = struct.unpack(f"<{ndim}I", read_exact(f, 4 * ndim, path))
             count = int(np.prod(shape)) if ndim else 1
-            params.append(np.frombuffer(f.read(8 * count), dtype="<f8").reshape(shape).copy())
+            params.append(np.frombuffer(read_exact(f, 8 * count, path),
+                                        dtype="<f8").reshape(shape).copy())
         return ModelState(_TAG_ARCHS[tag], params, dim, num_classes, hidden)

@@ -76,13 +76,6 @@ class RngStream:
             self._gen = np.random.Generator(bg)
         return self._gen
 
-    @property
-    def counter(self) -> int:
-        """Low word of the Philox block counter (draw-progress indicator)."""
-        if self._gen is None:
-            return 0
-        return int(self.generator.bit_generator.state["state"]["counter"][0])
-
     def child(self, index: int) -> "RngStream":
         """Derive an independent substream keyed by `index`."""
         return RngStream(self.seed, _child_id(self.stream_id, index))
@@ -155,34 +148,16 @@ def logsumexp(values) -> float:
 
 
 def _race_draw(w: np.ndarray, count: int, rng: RngStream) -> np.ndarray:
-    """Exponential-race core of weighted sampling; trusts its inputs."""
+    """Draw `count` distinct indices with probability proportional to w.
+
+    Exponential-race keys, equivalent to successive draws with
+    renormalization: index i gets key Exp(1)/w_i and the smallest `count`
+    keys win, in key order.  Trusts its inputs: w is 1-D, finite and >= 0,
+    with at least `count` positive entries.
+    """
     u = rng.random(w.shape[0])
     # Zero or subnormal weights give inf keys: never drawn, exactly right.
     with np.errstate(divide="ignore", over="ignore"):
         keys = -np.log(u) / w
     picked = np.argpartition(keys, count - 1)[:count]
     return picked[np.argsort(keys[picked], kind="stable")].astype(np.int64)
-
-
-def sample_without_replacement(weights, count: int, rng: RngStream) -> np.ndarray:
-    """Draw `count` distinct indices with probability proportional to weight.
-
-    Uses exponential-race keys (equivalent to successive draws with
-    renormalization): index i gets key Exp(1)/w_i and the smallest `count`
-    keys win, in key order.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError("sample_without_replacement: weights must be 1-D")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValueError("sample_without_replacement: weights must be finite and >= 0")
-    positive = int(np.count_nonzero(w > 0))
-    if positive == 0:
-        raise ValueError("sample_without_replacement: all weights are zero")
-    if count > positive:
-        raise ValueError(
-            f"sample_without_replacement: count {count} exceeds {positive} positive weights"
-        )
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    return _race_draw(w, count, rng)

@@ -10,9 +10,10 @@ corrupted entries, a handful of mislabeled candidates cannot drag the
 estimate.
 
 Loss bookkeeping follows the epoch cache discipline: plain losses and
-estimates are recomputed once per epoch; inside an epoch the frozen cache is
-carried to fresh mini-batch losses by the scale l_new * (estimate/plain), and
-estimates larger than the plain loss are clamped to it.
+estimates are recomputed once per epoch, from the refresh's own full forward
+pass.  Inside an epoch the frozen cache is carried to each SGD step's plain
+losses by the scale l_new * (estimate/plain), clamped to l_new; the step's
+single forward pass supplies l_new, so weighting costs no extra forward.
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ class SelectionDistribution:
     losses: np.ndarray
     processed: np.ndarray
     probs: np.ndarray
-    indices: np.ndarray | None = None   # dataset indices, when class-scoped
-    label: int | None = None
 
 
 @dataclass
@@ -158,12 +157,12 @@ def _class_selection_weights(class_losses: np.ndarray, params: RegroupParams) ->
 def batch_weights(cache: LossCache, batch_indices: np.ndarray,
                   fresh_losses: np.ndarray) -> np.ndarray:
     """Per-sample weights w_i so the weighted batch mean (1/B) sum w_i*l_i
-    equals the mean of the propagated-and-corrected estimates."""
+    equals the mean of the propagated estimates, clamped to the fresh losses
+    (the clip's upper bound is that clamp)."""
     idx = np.asarray(batch_indices, dtype=np.int64)
     fresh = np.asarray(fresh_losses, dtype=np.float64)
     propagated = fresh * cache.loss_rml[idx] / np.maximum(cache.loss[idx], LOSS_FLOOR)
-    corrected = np.minimum(propagated, fresh)
-    return np.clip(corrected / np.maximum(fresh, LOSS_FLOOR), 0.0, 1.0)
+    return np.clip(propagated / np.maximum(fresh, LOSS_FLOOR), 0.0, 1.0)
 
 
 def regroup_estimates(losses: np.ndarray, dataset: Dataset, params: RegroupParams,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from . import rml
 from .data import Dataset
 from .model import ModelState, OptimizerState
 from .noise import corruption_mask
-from .numerics import RngStream, softmax
+from .numerics import RngStream
 
 MODES = ("ce", "rml", "rml_semi")
 
@@ -77,25 +78,20 @@ METRICS_COLUMNS = list(MetricsRow.__dataclass_fields__)
 
 
 def selection_prob_by_sample(dataset: Dataset, losses: np.ndarray,
-                             epsilon_bias: float, processed: bool = True) -> np.ndarray:
+                             epsilon_bias: float) -> np.ndarray:
     """Within-class selection probability of every sample, from its loss."""
     out = np.empty(dataset.n_samples)
     for members in dataset.class_index:
-        if members.size == 0:
-            continue
-        member_losses = losses[members]
-        if processed:
-            out[members] = rml.selection_probabilities(member_losses, epsilon_bias).probs
-        else:
-            out[members] = softmax(-member_losses)
+        if members.size:
+            out[members] = rml.selection_probabilities(losses[members], epsilon_bias).probs
     return out
 
 
-def _epoch_metrics(epoch: int, train_loss: float, dataset: Dataset,
+def _epoch_metrics(epoch: int, train_loss: float, dataset: Dataset, losses: np.ndarray,
                    test: Dataset | None, model: ModelState,
                    epsilon_bias: float, labeled_fraction: float) -> MetricsRow:
-    probs = model_ops.forward(model, dataset.features)
-    losses = model_ops.per_sample_ce(probs, dataset.observed_labels)
+    """One metrics row for the post-epoch model, from the plain training-set
+    losses the caller computed; only the test set is forwarded here."""
     # Held-out evaluation is against the truth when the split retains it, so
     # a noisy test half cannot cap the reported accuracy.
     test_acc = float("nan")
@@ -126,23 +122,18 @@ def _weighted_epoch(dataset: Dataset, model: ModelState, teacher: ModelState | N
                     cache: rml.LossCache | None) -> float:
     """One pass over shuffled mini-batches; cache=None means plain CE.
 
-    Returns the mean optimized batch loss.  When a cache is given, batch
-    weights carry its estimates to this step's fresh losses.
+    Returns the mean optimized batch loss.  Each step makes one forward pass:
+    with a cache, `rml.batch_weights` carries its estimates to that pass's
+    plain losses.
     """
     shuffle = RngStream(config.seed, STREAM_SHUFFLE).child(epoch)
     order = shuffle.permutation(dataset.n_samples)
     total, count = 0.0, 0
     for batch in _batches(order, config.batch_size):
-        x = dataset.features[batch]
-        y = dataset.observed_labels[batch]
-        if cache is None:
-            losses, grads = model_ops.loss_and_grad(model, x, y)
-            total += float(losses.mean())
-        else:
-            fresh = model_ops.per_sample_ce(model_ops.forward(model, x), y)
-            weights = rml.batch_weights(cache, batch, fresh)
-            losses, grads = model_ops.loss_and_grad(model, x, y, weights)
-            total += float((weights * losses).mean())
+        weigh = None if cache is None else partial(rml.batch_weights, cache, batch)
+        losses, grads = model_ops.loss_and_grad(model, dataset.features[batch],
+                                                dataset.observed_labels[batch], weigh)
+        total += float(losses.mean())
         model_ops.sgd_step(model, opt, grads, epoch)
         if teacher is not None:
             model_ops.ema_update(teacher, model, config.ema_lambda)
@@ -198,7 +189,9 @@ def _train(mode: str, dataset: Dataset, model: ModelState, teacher: ModelState |
     previous epoch.  A semi epoch reads it only when the agreement split
     labels nothing, so refreshes stop before the semi phase and that
     fallback refreshes on demand, keyed as the skipped end-of-epoch refresh.
-    `ce` runs without a teacher: no EMA and no cache.
+    `ce` runs without a teacher: no EMA and no cache.  The post-epoch model
+    is forwarded over the training set once: by the refresh when there is
+    one, else here for the metrics.
     """
     if config.mode != mode:
         raise ValueError(f"train_{mode}: config.mode is {config.mode!r}, not {mode!r}")
@@ -229,7 +222,11 @@ def _train(mode: str, dataset: Dataset, model: ModelState, teacher: ModelState |
             train_loss = _weighted_epoch(dataset, model, teacher, opt, config, epoch, active)
         if teacher is not None and config.warmup_epochs <= epoch + 1 < semi_from:
             cache = rml.refresh_cache(cache, dataset, model, config.regroup, refresh_stream)
-        rows.append(_epoch_metrics(epoch, train_loss, dataset, test, model,
+            losses = cache.loss
+        else:
+            losses = model_ops.per_sample_ce(model_ops.forward(model, dataset.features),
+                                             dataset.observed_labels)
+        rows.append(_epoch_metrics(epoch, train_loss, dataset, losses, test, model,
                                    config.regroup.epsilon_bias, labeled_fraction))
     return rows
 

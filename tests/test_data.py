@@ -54,6 +54,12 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), np.array([0, 5]), num_classes=2)
 
+    def test_non_finite_feature_names_row(self):
+        features = np.zeros((4, 2))
+        features[2, 1] = np.nan
+        with pytest.raises(ValueError, match="row 2"):
+            Dataset(features, np.zeros(4, dtype=int), num_classes=2)
+
 
 class TestMakeBlobs:
     def test_minimal_instance(self):
@@ -142,6 +148,15 @@ class TestContainer:
         ds = Dataset(ds.features, ds.observed_labels, 2)
         save_dataset(ds, tmp_path / "data.rmld")
         assert load_dataset(tmp_path / "data.rmld").true_labels is None
+
+    def test_truncated_names_file(self, tmp_path):
+        path = tmp_path / "data.rmld"
+        save_dataset(make_blobs(2, 5, 2, 5.0, RngStream(12)), path)
+        whole = path.read_bytes()
+        for keep in (len(whole) - 1, len(whole) // 2, 12):
+            path.write_bytes(whole[:keep])
+            with pytest.raises(ValueError, match="truncated file .*data.rmld"):
+                load_dataset(path)
 
 
 class TestSplit:

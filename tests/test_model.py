@@ -82,13 +82,23 @@ class TestForward:
             forward(model, np.zeros((2, 5)))
 
 
+class TestPerSampleCe:
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match="label -1"):
+            per_sample_ce(np.full((2, 3), 1 / 3), np.array([0, -1]))
+
+    def test_label_past_last_class_rejected(self):
+        with pytest.raises(ValueError, match="label 3"):
+            per_sample_ce(np.full((2, 3), 1 / 3), np.array([3, 0]))
+
+
 class TestLossAndGrad:
     def test_unit_weights_match_mean_ce(self):
         rng = RngStream(2)
         model, x, y, _ = random_case("linear", rng)
         ones = np.ones(y.size)
         _, g_default = loss_and_grad(model, x, y)
-        _, g_ones = loss_and_grad(model, x, y, ones)
+        _, g_ones = loss_and_grad(model, x, y, lambda _: ones)
         for a, b in zip(g_default, g_ones):
             np.testing.assert_array_equal(a, b)
 
@@ -96,11 +106,11 @@ class TestLossAndGrad:
         rng = RngStream(3)
         model, x, y, _ = random_case("linear", rng, batch=4)
         w = np.array([1.0, 0.0, 1.0, 1.0])
-        _, grads = loss_and_grad(model, x, y, w)
+        _, grads = loss_and_grad(model, x, y, lambda _: w)
         # Gradient must equal the one computed with sample 1 removed
         # (weights rescaled by batch size ratio).
         keep = [0, 2, 3]
-        _, grads_subset = loss_and_grad(model, x[keep], y[keep], w[keep] * 3 / 4)
+        _, grads_subset = loss_and_grad(model, x[keep], y[keep], lambda _: w[keep] * 3 / 4)
         for a, b in zip(grads, grads_subset):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -110,7 +120,7 @@ class TestLossAndGrad:
         worst = 0.0
         for trial in range(10):
             model, x, y, w = random_case(arch, rng.child(trial))
-            _, analytic = loss_and_grad(model, x, y, w)
+            _, analytic = loss_and_grad(model, x, y, lambda _: w)
             numeric = finite_difference_grads(model, x, y, w)
             worst = max(worst, max_relative_error(analytic, numeric))
         assert worst < 1e-4
@@ -118,7 +128,24 @@ class TestLossAndGrad:
     def test_rejects_negative_weights(self):
         model, x, y, _ = random_case("linear", RngStream(5))
         with pytest.raises(ValueError):
-            loss_and_grad(model, x, y, np.array([-1.0, 1, 1, 1, 1, 1]))
+            loss_and_grad(model, x, y, lambda _: np.array([-1.0, 1, 1, 1, 1, 1]))
+
+    def test_weigh_sees_this_pass_plain_losses(self):
+        # weigh receives the plain CE of the pass it weights; the returned
+        # losses are the weighted ones, w_i * ce_i.
+        model, x, y, w = random_case("mlp", RngStream(7))
+        seen = []
+
+        def weigh(plain):
+            seen.append(plain.copy())
+            return w
+
+        losses, _ = loss_and_grad(model, x, y, weigh)
+        plain = per_sample_ce(forward(model, x), y)
+        np.testing.assert_array_equal(seen[0], plain)
+        np.testing.assert_array_equal(losses, w * plain)
+        unweighted, _ = loss_and_grad(model, x, y)
+        np.testing.assert_array_equal(unweighted, plain)
 
     def test_numerical_failure_carries_index(self):
         model = init_model("linear", 2, 2, RngStream(6))
@@ -221,3 +248,12 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    def test_truncated_names_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model("mlp", 5, 3, RngStream(12), hidden=4), path)
+        whole = path.read_bytes()
+        for keep in (len(whole) - 1, len(whole) // 2, 12):
+            path.write_bytes(whole[:keep])
+            with pytest.raises(ValueError, match="truncated file .*m.ckpt"):
+                load_checkpoint(path)

