@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -34,13 +35,28 @@ class ConfigError(ValueError):
     """Configuration validation failure, with the offending key path."""
 
 
-def _check_keys(section: dict, allowed: set[str], required: set[str], path: str):
+def _section(cls, section: dict, path: str, required=frozenset(), keys=None, **parsers):
+    """Build dataclass `cls` from one config section.
+
+    The allowed keys are `cls`'s fields unless `keys` narrows them.  An
+    unknown key, or a missing one of `required`, fails before any sub-section
+    is parsed.  `parsers` map a key to the function that parses its
+    sub-section, and a ValueError from the dataclass's own checks becomes a
+    ConfigError on `path`.
+    """
+    allowed = keys if keys is not None else {f.name for f in fields(cls)}
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key {path}.{sorted(unknown)[0]}")
-    missing = required - set(section)
+    missing = set(required) - set(section)
     if missing:
         raise ConfigError(f"missing required key {path}.{sorted(missing)[0]}")
+    values = {key: parsers[key](value) if key in parsers else value
+              for key, value in section.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -68,12 +84,7 @@ class DatasetSpec:
         if kind not in cls._KEYS:
             raise ConfigError(f"dataset.kind must be one of {sorted(cls._KEYS)}")
         required = {"kind"} if kind in ("blobs", "moons") else cls._KEYS[kind]
-        _check_keys(section, cls._KEYS[kind], required, "dataset")
-        return cls(**section)
-
-    def to_dict(self) -> dict:
-        full = asdict(self)
-        return {k: full[k] for k in self._KEYS[self.kind]}
+        return _section(cls, section, "dataset", required, cls._KEYS[kind])
 
 
 @dataclass
@@ -81,16 +92,9 @@ class ModelSpec:
     arch: str = "mlp"
     hidden: int = 64
 
-    @classmethod
-    def from_dict(cls, section: dict) -> "ModelSpec":
-        _check_keys(section, {"arch", "hidden"}, set(), "model")
-        spec = cls(**section)
-        if spec.arch not in ("linear", "mlp"):
-            raise ConfigError("model.arch must be 'linear' or 'mlp'")
-        return spec
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def __post_init__(self):
+        if self.arch not in ("linear", "mlp"):
+            raise ValueError(f"ModelSpec: arch must be 'linear' or 'mlp', got {self.arch!r}")
 
 
 @dataclass
@@ -99,31 +103,6 @@ class OptimizerSpec:
     lr_min: float = 1e-4
     momentum: float = 0.9
     weight_decay: float = 5e-4
-
-    @classmethod
-    def from_dict(cls, section: dict) -> "OptimizerSpec":
-        _check_keys(section, set(cls.__dataclass_fields__), set(), "optimizer")
-        return cls(**section)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-_RUN_KEYS = {"mode", "total_epochs", "batch_size", "warmup_epochs",
-             "common_epochs", "ema_lambda", "seed", "regroup"}
-_REGROUP_KEYS = {"n", "k", "epsilon_bias", "use_processed_loss", "estimator"}
-_NOISE_KEYS = {"kind", "rate", "rng_stream"}
-
-
-def _run_config_from_dict(section: dict) -> RunConfig:
-    _check_keys(section, _RUN_KEYS, {"mode"}, "run")
-    body = dict(section)
-    regroup_section = body.pop("regroup", {})
-    _check_keys(regroup_section, _REGROUP_KEYS, set(), "run.regroup")
-    try:
-        return RunConfig(regroup=RegroupParams(**regroup_section), **body)
-    except ValueError as exc:
-        raise ConfigError(f"run: {exc}") from exc
 
 
 @dataclass
@@ -136,45 +115,32 @@ class ExperimentConfig:
     test_fraction: float = 0.2
     output_dir: str = "runs/out"
 
+    def __post_init__(self):
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"ExperimentConfig: test_fraction must be in (0, 1), "
+                             f"got {self.test_fraction}")
+
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        _check_keys(
-            payload,
-            {"dataset", "noise", "model", "optimizer", "run", "test_fraction", "output_dir"},
-            {"dataset", "run"},
-            "config",
-        )
-        noise_spec = None
-        if "noise" in payload:
-            _check_keys(payload["noise"], _NOISE_KEYS, {"kind", "rate"}, "noise")
-            try:
-                noise_spec = noise_ops.NoiseSpec(**payload["noise"])
-            except ValueError as exc:
-                raise ConfigError(f"noise: {exc}") from exc
-        test_fraction = payload.get("test_fraction", 0.2)
-        if not 0.0 < test_fraction < 1.0:
-            raise ConfigError("config.test_fraction must be in (0, 1)")
-        return cls(
-            dataset=DatasetSpec.from_dict(payload["dataset"]),
-            noise=noise_spec,
-            model=ModelSpec.from_dict(payload.get("model", {})),
-            optimizer=OptimizerSpec.from_dict(payload.get("optimizer", {})),
-            run=_run_config_from_dict(payload["run"]),
-            test_fraction=test_fraction,
-            output_dir=payload.get("output_dir", "runs/out"),
+        return _section(
+            cls, payload, "config", {"dataset", "run"},
+            dataset=DatasetSpec.from_dict,
+            run=lambda s: _section(
+                RunConfig, s, "run", {"mode"},
+                regroup=lambda r: _section(RegroupParams, r, "run.regroup")),
+            model=lambda s: _section(ModelSpec, s, "model"),
+            optimizer=lambda s: _section(OptimizerSpec, s, "optimizer"),
+            noise=lambda s: _section(noise_ops.NoiseSpec, s, "noise", {"kind", "rate"}),
         )
 
     def to_dict(self) -> dict:
-        payload = {
-            "dataset": self.dataset.to_dict(),
-            "model": self.model.to_dict(),
-            "optimizer": self.optimizer.to_dict(),
-            "run": asdict(self.run),
-            "test_fraction": self.test_fraction,
-            "output_dir": self.output_dir,
-        }
-        if self.noise is not None:
-            payload["noise"] = asdict(self.noise)
+        """The payload from_dict reads back: the dataset's keys for its kind
+        only, and no noise section when there is none."""
+        payload = asdict(self)
+        payload["dataset"] = {k: payload["dataset"][k]
+                              for k in DatasetSpec._KEYS[self.dataset.kind]}
+        if self.noise is None:
+            del payload["noise"]
         return payload
 
 
@@ -213,11 +179,8 @@ def run_training(config: ExperimentConfig, seed: int):
     rng = RngStream(seed, STREAM_INIT)
     student = model_ops.init_model(config.model.arch, train.dim, train.num_classes,
                                    rng, hidden=config.model.hidden)
-    opt = model_ops.init_optimizer(student, config.optimizer.lr_init,
-                                   config.run.total_epochs,
-                                   lr_min=config.optimizer.lr_min,
-                                   momentum=config.optimizer.momentum,
-                                   weight_decay=config.optimizer.weight_decay)
+    opt = model_ops.init_optimizer(student, total_epochs=config.run.total_epochs,
+                                   **asdict(config.optimizer))
     run = replace(config.run, seed=seed)
     if run.mode == "ce":
         student, rows = trainer.train_ce(train, student, opt, run, test)
@@ -232,11 +195,14 @@ def run_training(config: ExperimentConfig, seed: int):
 
 # -- subcommands ----------------------------------------------------------------
 
-def cmd_inject(config: ExperimentConfig, seed: int, out_dir) -> dict:
-    from pathlib import Path
-
+def _out_dir(out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def cmd_inject(config: ExperimentConfig, seed: int, out_dir) -> dict:
+    out = _out_dir(out_dir)
     dataset = build_dataset(config.dataset, seed)
     if dataset.true_labels is None:
         # File-backed labels count as the pre-corruption truth.
@@ -260,10 +226,7 @@ def cmd_inject(config: ExperimentConfig, seed: int, out_dir) -> dict:
 
 
 def cmd_train(config: ExperimentConfig, seed: int, out_dir) -> dict:
-    from pathlib import Path
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     started = time.perf_counter()
     student, teacher, rows, train, test = run_training(config, seed)
     wall = time.perf_counter() - started
@@ -337,10 +300,7 @@ ABLATION_VARIANTS = {
 def cmd_ablate(config: ExperimentConfig, seeds: list[int], out_dir) -> dict:
     """Same data and seed, three regroup variants; final accuracies side by
     side plus per-variant means."""
-    from pathlib import Path
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     results = {name: [] for name in ABLATION_VARIANTS}
     for seed in seeds:
         for name, overrides in ABLATION_VARIANTS.items():
@@ -368,15 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    inject = sub.add_parser("inject", help="corrupt a dataset and write it out")
-    inject.add_argument("--config", required=True)
-    inject.add_argument("--seed", type=int, default=None)
-    inject.add_argument("--out", default=None)
-
-    train = sub.add_parser("train", help="run a training experiment")
-    train.add_argument("--config", required=True)
-    train.add_argument("--seed", type=int, default=None)
-    train.add_argument("--out", default=None)
+    for name, text in (("inject", "corrupt a dataset and write it out"),
+                       ("train", "run a training experiment")):
+        command = sub.add_parser(name, help=text)
+        command.add_argument("--config", required=True)
+        command.add_argument("--seed", type=int, default=None)
+        command.add_argument("--out", default=None)
 
     ver = sub.add_parser("verify", help="run the statistical verification suite")
     ver.add_argument("--suite", default="all",
@@ -407,19 +364,19 @@ def main(argv=None) -> int:
 
         config = load_config(args.config)
         out_dir = args.out or config.output_dir
-        if args.command == "inject":
-            seed = args.seed if args.seed is not None else config.run.seed
-            print(json.dumps(cmd_inject(config, seed, out_dir), indent=2, sort_keys=True))
-            return 0
-        if args.command == "train":
-            seed = args.seed if args.seed is not None else config.run.seed
-            summary = cmd_train(config, seed, out_dir)
-            print(json.dumps({k: summary[k] for k in
-                              ("mode", "seed", "final_test_accuracy", "final_train_loss")},
-                             indent=2, sort_keys=True))
-            return 0
-        seeds = [config.run.seed + i for i in range(args.seeds)]
-        print(json.dumps(cmd_ablate(config, seeds, out_dir), indent=2, sort_keys=True))
+        if args.command == "ablate":
+            # ablate has no --seed: its seeds count up from run.seed.
+            seeds = [config.run.seed + i for i in range(args.seeds)]
+            report = cmd_ablate(config, seeds, out_dir)
+        else:
+            seed = config.run.seed if args.seed is None else args.seed
+            if args.command == "inject":
+                report = cmd_inject(config, seed, out_dir)
+            else:
+                summary = cmd_train(config, seed, out_dir)
+                report = {k: summary[k] for k in
+                          ("mode", "seed", "final_test_accuracy", "final_train_loss")}
+        print(json.dumps(report, indent=2, sort_keys=True))
         return 0
     except Exception as exc:   # noqa: BLE001 - single CLI failure funnel
         json.dump({"error": type(exc).__name__, "message": str(exc)},

@@ -9,6 +9,7 @@ Dataset.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -129,30 +130,30 @@ def make_two_moons(per_class: int, noise_stdev: float, rng: RngStream) -> Datase
 
 # -- IDX files (big-endian magic + dims, unsigned-byte payload) --------------
 
+def _read_idx_raw(path, magic: int, ndim: int, what: str) -> np.ndarray:
+    """The uint8 payload of an IDX file, shaped by its `ndim` dimensions."""
+    with open(path, "rb") as f:
+        header = f.read(4 * (1 + ndim))
+        if len(header) < 4 or struct.unpack(">I", header[:4])[0] != magic:
+            raise IdxFormatError(f"bad {what} magic in {path}")
+        if len(header) != 4 * (1 + ndim):
+            raise IdxFormatError(f"truncated {what} header in {path}")
+        shape = struct.unpack(f">{ndim}I", header[4:])
+        size = math.prod(shape)
+        payload = f.read(size)
+        if len(payload) != size:
+            raise IdxFormatError(f"truncated {what} payload in {path}")
+        return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+
+
 def read_idx_images_raw(path) -> np.ndarray:
     """Raw (n, rows, cols) uint8 array from an IDX images file."""
-    with open(path, "rb") as f:
-        header = f.read(4)
-        if len(header) < 4 or struct.unpack(">I", header)[0] != IDX_IMAGES_MAGIC:
-            raise IdxFormatError(f"bad images magic in {path}")
-        n, rows, cols = struct.unpack(">III", f.read(12))
-        payload = f.read(n * rows * cols)
-        if len(payload) != n * rows * cols:
-            raise IdxFormatError(f"truncated images payload in {path}")
-        return np.frombuffer(payload, dtype=np.uint8).reshape(n, rows, cols)
+    return _read_idx_raw(path, IDX_IMAGES_MAGIC, 3, "images")
 
 
 def read_idx_labels_raw(path) -> np.ndarray:
     """Raw (n,) uint8 label array from an IDX labels file."""
-    with open(path, "rb") as f:
-        header = f.read(4)
-        if len(header) < 4 or struct.unpack(">I", header)[0] != IDX_LABELS_MAGIC:
-            raise IdxFormatError(f"bad labels magic in {path}")
-        (n,) = struct.unpack(">I", f.read(4))
-        payload = f.read(n)
-        if len(payload) != n:
-            raise IdxFormatError(f"truncated labels payload in {path}")
-        return np.frombuffer(payload, dtype=np.uint8)
+    return _read_idx_raw(path, IDX_LABELS_MAGIC, 1, "labels")
 
 
 def write_idx_images(path, images: np.ndarray) -> None:

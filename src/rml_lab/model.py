@@ -213,6 +213,8 @@ def load_checkpoint(path) -> ModelState:
         if f.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ValueError(f"load_checkpoint: bad magic in {path}")
         tag, dim, num_classes, hidden = struct.unpack("<BIII", read_exact(f, 13, path))
+        if tag not in _TAG_ARCHS:
+            raise ValueError(f"load_checkpoint: unknown architecture tag {tag} in {path}")
         (n_params,) = struct.unpack("<I", read_exact(f, 4, path))
         params = []
         for _ in range(n_params):

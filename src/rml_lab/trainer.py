@@ -141,10 +141,11 @@ def _weighted_epoch(dataset: Dataset, model: ModelState, teacher: ModelState | N
     return total / max(count, 1)
 
 
-def separate(dataset: Dataset, student: ModelState, teacher: ModelState):
+def separate(dataset: Dataset, student_probs: np.ndarray, teacher: ModelState):
     """Samples whose student AND teacher predictions match the observed label
-    are kept as labeled; the rest become the unlabeled pool."""
-    student_pred = model_ops.forward(student, dataset.features).argmax(axis=1)
+    are kept as labeled; the rest become the unlabeled pool.  `student_probs`
+    is the student's forward over `dataset`, which the caller already holds."""
+    student_pred = student_probs.argmax(axis=1)
     teacher_pred = model_ops.forward(teacher, dataset.features).argmax(axis=1)
     agree = (student_pred == dataset.observed_labels) & (teacher_pred == dataset.observed_labels)
     idx = np.arange(dataset.n_samples)
@@ -191,7 +192,7 @@ def _train(mode: str, dataset: Dataset, model: ModelState, teacher: ModelState |
     fallback refreshes on demand, keyed as the skipped end-of-epoch refresh.
     `ce` runs without a teacher: no EMA and no cache.  The post-epoch model
     is forwarded over the training set once: by the refresh when there is
-    one, else here for the metrics.
+    one, else here, for the metrics and the next epoch's agreement split.
     """
     if config.mode != mode:
         raise ValueError(f"train_{mode}: config.mode is {config.mode!r}, not {mode!r}")
@@ -201,10 +202,12 @@ def _train(mode: str, dataset: Dataset, model: ModelState, teacher: ModelState |
     # its last epoch.
     semi_from = config.common_epochs if mode == "rml_semi" else config.total_epochs + 1
     rows = []
+    probs = None   # the post-epoch training-set forward, when not a refresh's
     for epoch in range(config.total_epochs):
         labeled_fraction = float("nan")
         if epoch >= semi_from:
-            labeled, unlabeled = separate(dataset, model, teacher)
+            # No refresh ran after epoch - 1, so `probs` is this model's.
+            labeled, unlabeled = separate(dataset, probs, teacher)
             labeled_fraction = labeled.size / dataset.n_samples
             if labeled.size:
                 train_loss = _semi_epoch(dataset, model, teacher, opt, config, epoch,
@@ -224,8 +227,8 @@ def _train(mode: str, dataset: Dataset, model: ModelState, teacher: ModelState |
             cache = rml.refresh_cache(cache, dataset, model, config.regroup, refresh_stream)
             losses = cache.loss
         else:
-            losses = model_ops.per_sample_ce(model_ops.forward(model, dataset.features),
-                                             dataset.observed_labels)
+            probs = model_ops.forward(model, dataset.features)
+            losses = model_ops.per_sample_ce(probs, dataset.observed_labels)
         rows.append(_epoch_metrics(epoch, train_loss, dataset, losses, test, model,
                                    config.regroup.epsilon_bias, labeled_fraction))
     return rows

@@ -1,11 +1,15 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from rml_lab.cli import (
     ConfigError,
+    DatasetSpec,
     ExperimentConfig,
+    ModelSpec,
+    OptimizerSpec,
     build_dataset,
     cmd_ablate,
     cmd_inject,
@@ -14,6 +18,7 @@ from rml_lab.cli import (
     load_config,
     main,
 )
+from rml_lab.trainer import RunConfig
 
 
 def base_config(**overrides):
@@ -60,6 +65,70 @@ class TestConfigParsing:
         del payload["run"]["mode"]
         with pytest.raises(ConfigError, match="run.mode"):
             ExperimentConfig.from_dict(payload)
+
+    def test_missing_section_named_before_sections_parse(self):
+        payload = base_config()
+        del payload["run"]
+        with pytest.raises(ConfigError, match=r"missing required key config\.run$"):
+            ExperimentConfig.from_dict(payload)
+
+    @pytest.mark.parametrize("key, value, path", [
+        ("model", {"arch": "cnn"}, "model"),
+        ("test_fraction", 1.0, "config"),
+        ("run", {"mode": "rml", "regroup": {"n": 3}}, "run.regroup"),
+    ])
+    def test_dataclass_check_names_section(self, key, value, path):
+        with pytest.raises(ConfigError, match=rf"^{path}: "):
+            ExperimentConfig.from_dict(base_config(**{key: value}))
+
+    @pytest.mark.parametrize("dataset", [
+        {"kind": "blobs", "num_classes": 4, "per_class": 30, "dim": 3, "separation": 5.5},
+        {"kind": "moons", "per_class": 30, "noise_stdev": 0.3},
+        {"kind": "idx", "images": "img.idx", "labels": "lab.idx"},
+        {"kind": "container", "path": "data.rmld"},
+    ])
+    def test_every_field_non_default_round_trips(self, dataset):
+        payload = {
+            "dataset": dataset,
+            "noise": {"kind": "pairflip", "rate": 0.25, "rng_stream": 7},
+            "model": {"arch": "linear", "hidden": 9},
+            "optimizer": {"lr_init": 0.2, "lr_min": 0.001, "momentum": 0.5,
+                          "weight_decay": 0.0},
+            "run": {"mode": "rml_semi", "total_epochs": 9, "batch_size": 16,
+                    "warmup_epochs": 2, "common_epochs": 5, "ema_lambda": 0.9,
+                    "seed": 4,
+                    "regroup": {"n": 4, "k": 5, "epsilon_bias": 0.5,
+                                "use_processed_loss": False, "estimator": "mean"}},
+            "test_fraction": 0.3,
+            "output_dir": "runs/all",
+        }
+        defaults = {
+            "dataset": asdict(DatasetSpec(dataset["kind"])),
+            "noise": {"kind": None, "rate": None, "rng_stream": 2},   # no default kind or rate
+            "model": asdict(ModelSpec()),
+            "optimizer": asdict(OptimizerSpec()),
+            "run": asdict(RunConfig()),
+            "test_fraction": 0.2,
+            "output_dir": "runs/out",
+        }
+
+        def leaves(section, prefix=""):
+            for key, value in section.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, f"{prefix}{key}.")
+                else:
+                    yield f"{prefix}{key}", value
+
+        default_leaves = dict(leaves(defaults))
+        for path, value in leaves(payload):
+            if path != "dataset.kind":
+                assert value != default_leaves[path], path
+        config = ExperimentConfig.from_dict(payload)
+        assert config.run.regroup.estimator == "mean"
+        assert config.optimizer.momentum == 0.5 and config.noise.rng_stream == 7
+        # to_dict echoes every field, so a field the payload lacks fails here.
+        assert config.to_dict() == payload
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
 
     def test_noise_section_optional(self):
         payload = base_config()
@@ -192,6 +261,25 @@ class TestMainEntry:
         assert main(["train", "--config", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["mode"] == "rml"
+
+    def test_inject_exit_zero(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(output_dir=str(tmp_path / "out"))))
+        assert main(["inject", "--config", str(path), "--seed", "3"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        direct = cmd_inject(load_config(path), seed=3, out_dir=tmp_path / "direct")
+        assert out["realized_rate"] == direct["realized_rate"]
+        assert (tmp_path / "out" / "dataset.rmld").exists()
+
+    def test_ablate_exit_zero(self, tmp_path, capsys):
+        # ablate has no --seed: its seeds count up from run.seed.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(output_dir=str(tmp_path / "out"))))
+        assert main(["ablate", "--config", str(path), "--seeds", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert set(out) == {"full", "no_processing", "no_median"}
+        lines = (tmp_path / "out" / "ablation.csv").read_text().splitlines()
+        assert {line.split(",")[1] for line in lines[1:]} == {"5", "6", "mean"}
 
     def test_missing_config_is_machine_readable_error(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 1

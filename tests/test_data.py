@@ -126,6 +126,17 @@ class TestIdx:
         with pytest.raises(IdxFormatError, match="broken.idx"):
             read_idx_images_raw(path)
 
+    @pytest.mark.parametrize("reader, writer, data, keep", [
+        (read_idx_images_raw, write_idx_images, np.zeros((2, 3, 3), dtype=np.uint8), 10),
+        (read_idx_labels_raw, write_idx_labels, np.zeros(4, dtype=np.uint8), 6),
+    ])
+    def test_truncated_header_names_file(self, tmp_path, reader, writer, data, keep):
+        path = tmp_path / "short.idx"
+        writer(path, data)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(IdxFormatError, match="truncated .* header in .*short.idx"):
+            reader(path)
+
     def test_count_mismatch(self, tmp_path):
         write_idx_images(tmp_path / "img.idx", np.zeros((10, 2, 2), dtype=np.uint8))
         write_idx_labels(tmp_path / "lab.idx", np.zeros(9, dtype=np.uint8))

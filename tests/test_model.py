@@ -249,6 +249,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    def test_unknown_arch_tag_names_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model("linear", 5, 3, RngStream(12)), path)
+        whole = bytearray(path.read_bytes())
+        whole[8] = 7   # the tag byte, right after the 8-byte magic
+        path.write_bytes(bytes(whole))
+        with pytest.raises(ValueError, match="architecture tag 7 in .*m.ckpt"):
+            load_checkpoint(path)
+
     def test_truncated_names_file(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(init_model("mlp", 5, 3, RngStream(12), hidden=4), path)

@@ -137,7 +137,7 @@ class TestSeparate:
         config = RunConfig(mode="ce", total_epochs=80, batch_size=64, seed=8)
         model, _ = train_ce(train, model, opt, config)
         if accuracy(model, train) == 1.0:
-            labeled, unlabeled = separate(train, model, model)
+            labeled, unlabeled = separate(train, model_ops.forward(model, train.features), model)
             assert labeled.size == train.n_samples and unlabeled.size == 0
 
     def test_disagreement_all_unlabeled(self):
@@ -146,14 +146,16 @@ class TestSeparate:
         # A teacher predicting shifted classes never agrees with the student.
         teacher = student.copy()
         teacher.params[-1] = np.roll(teacher.params[-1], 1) + 1e3
-        labeled, unlabeled = separate(train, student, teacher)
+        labeled, unlabeled = separate(train, model_ops.forward(student, train.features),
+                                       teacher)
         assert (np.sort(np.concatenate([labeled, unlabeled]))
                 == np.arange(train.n_samples)).all()
 
     def test_partition_property(self):
         train, _ = _noisy_split(seed=10)
         student, teacher = _fresh_models(train, seed=10)
-        labeled, unlabeled = separate(train, student, teacher)
+        labeled, unlabeled = separate(train, model_ops.forward(student, train.features),
+                                       teacher)
         merged = np.sort(np.concatenate([labeled, unlabeled]))
         np.testing.assert_array_equal(merged, np.arange(train.n_samples))
         assert np.intersect1d(labeled, unlabeled).size == 0
@@ -168,7 +170,7 @@ class TestSeparate:
         student, teacher = _fresh_models(train, seed=11)
         opt = init_optimizer(student, 0.3, 30)
         student, teacher, _ = train_rml(train, student, teacher, opt, config, test)
-        labeled, _ = separate(train, student, teacher)
+        labeled, _ = separate(train, model_ops.forward(student, train.features), teacher)
         assert labeled.size > 0
         mask = corruption_mask(train)
         overall_clean = 1.0 - mask.mean()
@@ -220,8 +222,9 @@ class TestTrainRmlSemi:
         seen = {"labeled": 0, "unlabeled": 0}
         real_separate, real_loss_and_grad = trainer.separate, model_ops.loss_and_grad
 
-        def spy_separate(dataset, s, t):
-            split_now["labeled"], split_now["unlabeled"] = real_separate(dataset, s, t)
+        def spy_separate(dataset, student_probs, t):
+            split_now["labeled"], split_now["unlabeled"] = real_separate(dataset,
+                                                                         student_probs, t)
             return split_now["labeled"], split_now["unlabeled"]
 
         def spy_loss_and_grad(model, features, labels, weigh=None):
@@ -304,9 +307,9 @@ class TestRefreshSchedule:
         real_separate, real_weighted = trainer.separate, trainer._weighted_epoch
         weighted = {}
 
-        def forced_separate(dataset, s, t):
+        def forced_separate(dataset, student_probs, t):
             forced_separate.calls += 1
-            labeled, unlabeled = real_separate(dataset, s, t)
+            labeled, unlabeled = real_separate(dataset, student_probs, t)
             if forced_separate.calls in (2, 3):   # epochs 7 and 8
                 return labeled[:0], np.arange(dataset.n_samples)
             return labeled, unlabeled
@@ -379,6 +382,36 @@ class TestSingleForward:
                 forwarded[epoch] += value
                 since_step += value
         assert forwarded.tolist() == [train.n_samples + test.n_samples] * config.total_epochs
+
+    def test_semi_forwards_the_student_over_the_training_set_once_per_epoch(self,
+                                                                            monkeypatch):
+        # The agreement split at the start of a semi epoch reads the previous
+        # epoch's post-epoch forward instead of forwarding the student again.
+        train, test = _noisy_split(seed=17, per_class=30)
+        config = RunConfig(mode="rml_semi", total_epochs=8, common_epochs=4,
+                           batch_size=32, warmup_epochs=2, seed=17,
+                           regroup=RegroupParams(n=2, k=3))
+        student, teacher = _fresh_models(train, seed=17)
+        forwarded = np.zeros(config.total_epochs, dtype=int)
+        last_step = {"epoch": None}
+        real_forward, real_step = model_ops.forward, model_ops.sgd_step
+
+        def spy_forward(model, features):
+            if model is student and len(features) == train.n_samples:
+                assert last_step["epoch"] is not None, "forward before the first SGD step"
+                forwarded[last_step["epoch"]] += 1
+            return real_forward(model, features)
+
+        def spy_step(model, opt, grads, epoch):
+            last_step["epoch"] = epoch
+            return real_step(model, opt, grads, epoch)
+
+        monkeypatch.setattr(model_ops, "forward", spy_forward)
+        monkeypatch.setattr(model_ops, "sgd_step", spy_step)
+        _, _, rows = train_rml_semi(train, student, teacher,
+                                    init_optimizer(student, 0.3, 8), config, test)
+        assert all(r.labeled_fraction > 0 for r in rows[4:])
+        assert forwarded.tolist() == [1] * config.total_epochs
 
 
 class TestModeGuard:
