@@ -16,7 +16,7 @@ losses = np.sort(np.concatenate([
 ]))
 
 plain = softmax(-losses)
-processed = selection_probabilities(losses, epsilon_bias=1.0).probs
+processed = selection_probabilities(losses, epsilon_bias=1.0)
 
 print(f"{'loss':>8} {'p_plain':>10} {'p_processed':>12}")
 for l, p, q in zip(losses, plain, processed):

@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 import time
+import types
+import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -35,15 +37,35 @@ class ConfigError(ValueError):
     """Configuration validation failure, with the offending key path."""
 
 
+def _object(section, path: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path} must be a JSON object, got {type(section).__name__}")
+    return section
+
+
+def _fits(hint, value) -> bool:
+    """Whether a JSON value has a field's type: an int passes for a float,
+    a bool passes only for a bool."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_fits(option, value) for option in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
 def _section(cls, section: dict, path: str, required=frozenset(), keys=None, **parsers):
     """Build dataclass `cls` from one config section.
 
-    The allowed keys are `cls`'s fields unless `keys` narrows them.  An
-    unknown key, or a missing one of `required`, fails before any sub-section
-    is parsed.  `parsers` map a key to the function that parses its
-    sub-section, and a ValueError from the dataclass's own checks becomes a
-    ConfigError on `path`.
+    The allowed keys are `cls`'s fields unless `keys` narrows them.  A
+    section that is not an object, an unknown key, a missing one of
+    `required`, or a value whose type does not fit its field fails before
+    any sub-section is parsed.  `parsers` map a key to the function that
+    parses its sub-section, and a ValueError from the dataclass's own checks
+    becomes a ConfigError on `path`.
     """
+    section = _object(section, path)
     allowed = keys if keys is not None else {f.name for f in fields(cls)}
     unknown = set(section) - allowed
     if unknown:
@@ -51,6 +73,12 @@ def _section(cls, section: dict, path: str, required=frozenset(), keys=None, **p
     missing = set(required) - set(section)
     if missing:
         raise ConfigError(f"missing required key {path}.{sorted(missing)[0]}")
+    hints = typing.get_type_hints(cls)
+    for key, value in section.items():
+        hint = hints[key]
+        if key not in parsers and not _fits(hint, value):
+            raise ConfigError(f"{path}.{key} must be {getattr(hint, '__name__', hint)}, "
+                              f"got {value!r}")
     values = {key: parsers[key](value) if key in parsers else value
               for key, value in section.items()}
     try:
@@ -80,7 +108,7 @@ class DatasetSpec:
 
     @classmethod
     def from_dict(cls, section: dict) -> "DatasetSpec":
-        kind = section.get("kind")
+        kind = _object(section, "dataset").get("kind")
         if kind not in cls._KEYS:
             raise ConfigError(f"dataset.kind must be one of {sorted(cls._KEYS)}")
         required = {"kind"} if kind in ("blobs", "moons") else cls._KEYS[kind]
@@ -202,6 +230,8 @@ def _out_dir(out_dir) -> Path:
 
 
 def cmd_inject(config: ExperimentConfig, seed: int, out_dir) -> dict:
+    if config.noise is None:
+        raise ConfigError("inject needs a noise section")
     out = _out_dir(out_dir)
     dataset = build_dataset(config.dataset, seed)
     if dataset.true_labels is None:
@@ -209,8 +239,6 @@ def cmd_inject(config: ExperimentConfig, seed: int, out_dir) -> dict:
         dataset = data_ops.Dataset(dataset.features, dataset.observed_labels,
                                    dataset.num_classes,
                                    true_labels=dataset.observed_labels.copy())
-    if config.noise is None:
-        raise ConfigError("inject needs a noise section")
     noisy = noise_ops.apply(dataset, config.noise, seed)
     mask = noise_ops.corruption_mask(noisy)
     data_ops.save_dataset(noisy, out / "dataset.rmld")

@@ -8,10 +8,11 @@ changes the fate of earlier samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from .data import Dataset, feature_stats
 from .numerics import RngStream, child_generator_pool, softmax
@@ -113,11 +114,7 @@ def inject_instance_dependent(dataset: Dataset, rate: float, rng: RngStream) -> 
         u_flip[i] = child.random()
         u_target[i] = child.random()
 
-    a = (0.0 - rate) / INSTANCE_FLIP_STDEV
-    b = (1.0 - rate) / INSTANCE_FLIP_STDEV
-    q = stats.truncnorm.ppf(u_flip, a, b, loc=rate, scale=INSTANCE_FLIP_STDEV)
-    q = np.clip(q, 0.0, 1.0)
-
+    q = _flip_probabilities(u_flip, rate)
     labels = dataset.observed_labels.copy()
     transition = instance_flip_distribution(x, labels, q, proj)
 
@@ -125,6 +122,25 @@ def inject_instance_dependent(dataset: Dataset, rate: float, rng: RngStream) -> 
     cdf[:, -1] = 1.0
     new_labels = (u_target[:, None] >= cdf).sum(axis=1).astype(np.int64)
     return dataset.with_observed_labels(new_labels)
+
+
+def _flip_probabilities(u: np.ndarray, rate: float) -> np.ndarray:
+    """Quantiles at `u` in [0, 1) of normal(rate, INSTANCE_FLIP_STDEV)
+    truncated to [0, 1].
+
+    The two tail masses come from erfc, which keeps its relative precision
+    far out, and each quantile is inverted from the nearer tail: a cdf value
+    near 1 would round to 1.0 and lose the tail, or raise in inv_cdf.
+    """
+    root2 = math.sqrt(2.0)
+    lower = 0.5 * math.erfc(rate / INSTANCE_FLIP_STDEV / root2)
+    upper = 0.5 * math.erfc((1.0 - rate) / INSTANCE_FLIP_STDEV / root2)
+    mass = 1.0 - lower - upper
+    inv_cdf = NormalDist().inv_cdf
+    z = [inv_cdf(lower + ui * mass) if lower + ui * mass <= 0.5
+         else -inv_cdf(upper + (1.0 - ui) * mass)
+         for ui in u.tolist()]
+    return np.clip(rate + INSTANCE_FLIP_STDEV * np.array(z), 0.0, 1.0)
 
 
 def instance_flip_distribution(x: np.ndarray, labels: np.ndarray, q: np.ndarray,

@@ -61,15 +61,6 @@ class RegroupParams:
 
 
 @dataclass
-class SelectionDistribution:
-    """Per-candidate processed losses and selection probabilities."""
-
-    losses: np.ndarray
-    processed: np.ndarray
-    probs: np.ndarray
-
-
-@dataclass
 class GroupMeans:
     assignments: np.ndarray   # (n, k) indices into the selected-loss vector
     means: np.ndarray         # (n,)
@@ -94,15 +85,14 @@ def processed_loss(losses: np.ndarray, epsilon_bias: float) -> np.ndarray:
     return losses * (losses + epsilon_bias)
 
 
-def selection_probabilities(losses, epsilon_bias: float = 1.0) -> SelectionDistribution:
+def selection_probabilities(losses, epsilon_bias: float = 1.0) -> np.ndarray:
     """Selection distribution exp(-processed)/sum over one candidate pool."""
     l = np.asarray(losses, dtype=np.float64)
     if l.size < 1:
         raise ValueError("selection_probabilities: empty loss vector")
     if np.any(l < 0) or not np.all(np.isfinite(l)):
         raise ValueError("selection_probabilities: losses must be finite and >= 0")
-    proc = processed_loss(l, epsilon_bias)
-    return SelectionDistribution(losses=l, processed=proc, probs=softmax(-proc))
+    return softmax(-processed_loss(l, epsilon_bias))
 
 
 def probability_shift(losses, epsilon_bias: float = 1.0) -> tuple[np.ndarray, float]:

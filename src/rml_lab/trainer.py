@@ -83,7 +83,7 @@ def selection_prob_by_sample(dataset: Dataset, losses: np.ndarray,
     out = np.empty(dataset.n_samples)
     for members in dataset.class_index:
         if members.size:
-            out[members] = rml.selection_probabilities(losses[members], epsilon_bias).probs
+            out[members] = rml.selection_probabilities(losses[members], epsilon_bias)
     return out
 
 

@@ -252,7 +252,7 @@ def check_cor1(dataset: Dataset, cache: rml.LossCache,
             continue
         member_losses = losses[members]
         plain = softmax(-member_losses)
-        processed = rml.selection_probabilities(member_losses, epsilon_bias).probs
+        processed = rml.selection_probabilities(member_losses, epsilon_bias)
         plain_mass.append(float(plain[clean_members].sum()))
         processed_mass.append(float(processed[clean_members].sum()))
     plain_mean = float(np.mean(plain_mass))

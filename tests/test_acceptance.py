@@ -191,7 +191,7 @@ def test_criterion_6_loss_separation(benchmark_matrix):
     plain_p = np.empty(train.n_samples)
     for members in train.class_index:
         member_losses = losses[members]
-        processed_p[members] = selection_probabilities(member_losses, 1.0).probs
+        processed_p[members] = selection_probabilities(member_losses, 1.0)
         plain_p[members] = softmax(-member_losses)
     assert processed_p[~mask].mean() > plain_p[~mask].mean()
     _report(6, f"corrupted/clean loss factor {factor:.1f} (>= 2), clean "

@@ -130,6 +130,32 @@ class TestConfigParsing:
         assert config.to_dict() == payload
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("run", "total_epochs", "2"),
+        ("run", "total_epochs", True),
+        ("run", "batch_size", 8.5),
+        ("optimizer", "lr_init", "0.1"),
+        ("dataset", "per_class", 2.5),
+    ])
+    def test_value_of_wrong_type_named(self, section, key, value):
+        payload = base_config()
+        payload[section][key] = value
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be "):
+            ExperimentConfig.from_dict(payload)
+
+    def test_int_fits_float_and_none_fits_optional_int(self):
+        payload = base_config()
+        payload["optimizer"]["lr_init"] = 1
+        payload["run"]["common_epochs"] = None
+        config = ExperimentConfig.from_dict(payload)
+        assert config.optimizer.lr_init == 1
+        assert config.run.common_epochs == config.run.total_epochs
+
+    @pytest.mark.parametrize("key", ["run", "dataset", "noise"])
+    def test_section_not_an_object_named(self, key):
+        with pytest.raises(ConfigError, match=rf"^{key} must be a JSON object"):
+            ExperimentConfig.from_dict(base_config(**{key: 5}))
+
     def test_noise_section_optional(self):
         payload = base_config()
         del payload["noise"]
@@ -270,6 +296,16 @@ class TestMainEntry:
         direct = cmd_inject(load_config(path), seed=3, out_dir=tmp_path / "direct")
         assert out["realized_rate"] == direct["realized_rate"]
         assert (tmp_path / "out" / "dataset.rmld").exists()
+
+    def test_inject_without_noise_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        payload = base_config()
+        del payload["noise"]
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["inject", "--config", str(path), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
 
     def test_ablate_exit_zero(self, tmp_path, capsys):
         # ablate has no --seed: its seeds count up from run.seed.

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rml_lab
 from rml_lab.data import Dataset, make_blobs
 from rml_lab.noise import (
+    _flip_probabilities,
     NoiseSpec,
     TrueLabelsUnavailable,
     corruption_mask,
@@ -128,6 +135,42 @@ class TestInstanceDependent:
         ds = _big_clean(4, 100, 3, seed=13)
         out = inject_instance_dependent(ds, 0.3, RngStream(13, 2))
         np.testing.assert_array_equal(out.true_labels, ds.true_labels)
+
+
+class TestFlipProbabilities:
+    """Quantiles of normal(rate, 0.1) truncated to [0, 1], against 80-digit
+    references, at the extreme draws Generator.random() can return."""
+
+    @pytest.mark.parametrize("rate, u, q", [
+        (0.0, 1 - 2**-53, 0.8292361059491083),
+        (0.1, 1 - 2**-53, 0.9230109887183753),
+        (0.1, 1 - 2**-40, 0.8071706596155549),
+        (0.3, 0.25, 0.23286927971511115),
+        (0.3, 1 - 2**-53, 0.9999987863041341),
+        (0.9, 2**-53, 0.0769890112816247),
+        (0.9, 0.0, 0.0),
+        (0.9, 0.5, 0.8799826313833109),
+    ])
+    def test_matches_reference_quantile(self, rate, u, q):
+        assert _flip_probabilities(np.array([u]), rate)[0] == pytest.approx(q, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.9, 0.99])
+    def test_extreme_draws_stay_in_unit_interval(self, rate):
+        q = _flip_probabilities(np.array([0.0, 2**-53, 0.5, 1 - 2**-53]), rate)
+        assert np.all((q >= 0.0) & (q <= 1.0))
+        assert np.all(np.diff(q) >= 0.0)
+
+
+def test_import_loads_no_scipy():
+    """The package depends on numpy alone; scipy.stats once cost ~1.2 s and
+    ~70 MB of every start-up."""
+    src = str(Path(rml_lab.__file__).resolve().parents[1])
+    code = ("import sys, rml_lab; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestCorruptionMask:

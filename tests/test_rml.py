@@ -18,6 +18,7 @@ from rml_lab.rml import (
     dump_cache,
     empty_cache,
     probability_shift,
+    processed_loss,
     refresh_cache,
     regroup_estimates,
     regroup_median,
@@ -28,22 +29,21 @@ from rml_lab.trainer import RunConfig, train_ce
 
 class TestSelectionProbabilities:
     def test_uniform_for_equal_losses(self):
-        sel = selection_probabilities(np.full(8, 1.3))
-        np.testing.assert_allclose(sel.probs, 1 / 8)
+        probs = selection_probabilities(np.full(8, 1.3))
+        np.testing.assert_allclose(probs, 1 / 8)
 
     def test_processed_loss_value(self):
-        sel = selection_probabilities(np.array([2.0]), epsilon_bias=1.0)
-        assert sel.processed[0] == 6.0
+        assert processed_loss(2.0, 1.0) == 6.0
 
     def test_closed_form_two_losses(self):
-        sel = selection_probabilities(np.array([0.0, 1.0]), epsilon_bias=1.0)
-        np.testing.assert_allclose(sel.probs, softmax([0.0, -2.0]))
+        probs = selection_probabilities(np.array([0.0, 1.0]), epsilon_bias=1.0)
+        np.testing.assert_allclose(probs, softmax([0.0, -2.0]))
 
     def test_probabilities_normalized(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            sel = selection_probabilities(rng.uniform(0, 20, rng.integers(1, 50)))
-            assert abs(sel.probs.sum() - 1.0) < 1e-10
+            probs = selection_probabilities(rng.uniform(0, 20, rng.integers(1, 50)))
+            assert abs(probs.sum() - 1.0) < 1e-10
 
     def test_rejects_negative_losses(self):
         with pytest.raises(ValueError):

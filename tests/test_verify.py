@@ -30,7 +30,7 @@ class TestCheckProp1:
         # Direct evaluation of the two selection rules on [0, 10].
         losses = np.array([0.0, 10.0])
         plain = softmax(-losses)
-        processed = selection_probabilities(losses).probs
+        processed = selection_probabilities(losses)
         assert processed[1] < plain[1]
         assert processed[0] > plain[0]
 
