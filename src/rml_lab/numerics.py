@@ -147,17 +147,18 @@ def logsumexp(values) -> float:
     return float(m + np.log(np.sum(np.exp(v - m))))
 
 
-def _race_draw(w: np.ndarray, count: int, rng: RngStream) -> np.ndarray:
-    """Draw `count` distinct indices with probability proportional to w.
+def _race_draw(u: np.ndarray, w: np.ndarray, count: int) -> np.ndarray:
+    """Per row, draw `count` distinct columns with probability proportional
+    to w, from the caller's uniforms u (Efraimidis & Spirakis, IPL 2006).
 
     Exponential-race keys, equivalent to successive draws with
-    renormalization: index i gets key Exp(1)/w_i and the smallest `count`
-    keys win, in key order.  Trusts its inputs: w is 1-D, finite and >= 0,
-    with at least `count` positive entries.
+    renormalization: column j gets key -log(u_j)/w_j and the row's smallest
+    `count` keys win, in key order.  Trusts its inputs: u and w are (rows,
+    m), w finite and >= 0 with at least `count` positive entries per row.
     """
-    u = rng.random(w.shape[0])
-    # Zero or subnormal weights give inf keys: never drawn, exactly right.
+    # Zero or subnormal weights give inf keys, drawn only once finite keys run out.
     with np.errstate(divide="ignore", over="ignore"):
         keys = -np.log(u) / w
-    picked = np.argpartition(keys, count - 1)[:count]
-    return picked[np.argsort(keys[picked], kind="stable")].astype(np.int64)
+    picked = np.argpartition(keys, count - 1, axis=1)[:, :count]
+    order = np.argsort(np.take_along_axis(keys, picked, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(picked, order, axis=1)

@@ -11,9 +11,11 @@ estimate.
 
 Loss bookkeeping follows the epoch cache discipline: plain losses and
 estimates are recomputed once per epoch, from the refresh's own full forward
-pass.  Inside an epoch the frozen cache is carried to each SGD step's plain
-losses by the scale l_new * (estimate/plain), clamped to l_new; the step's
-single forward pass supplies l_new, so weighting costs no extra forward.
+pass; each class's estimates take one race draw and one `regroup_median`
+call over rows of samples, each sample keeping its own keyed stream.  Inside
+an epoch the frozen cache is carried to each SGD step's plain losses by the
+scale l_new * (estimate/plain), clamped to l_new; the step's single forward
+pass supplies l_new, so weighting costs no extra forward.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from .numerics import (
 )
 
 ESTIMATORS = ("median", "mean")
+# Elements per (rows, class size) array of a refresh chunk, ~2 MB of float64:
+# a whole class of a few hundred samples, a few dozen rows of a 6 000 one.
+BUDGET = 1 << 18
 
 
 @dataclass
@@ -58,12 +63,6 @@ class RegroupParams:
             raise ValueError(f"RegroupParams: k must be >= 1, got {self.k}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"RegroupParams: unknown estimator {self.estimator!r}")
-
-
-@dataclass
-class GroupMeans:
-    assignments: np.ndarray   # (n, k) indices into the selected-loss vector
-    means: np.ndarray         # (n,)
 
 
 @dataclass
@@ -110,38 +109,26 @@ def probability_shift(losses, epsilon_bias: float = 1.0) -> tuple[np.ndarray, fl
     return shift, float(beta)
 
 
-def regroup_median(sample_loss: float, selected_losses, params: RegroupParams,
-                   rng: RngStream) -> tuple[float, GroupMeans]:
-    """Median of the n random-group means and the sample's own loss.
+def regroup_median(own: np.ndarray, selected: np.ndarray, params: RegroupParams,
+                   perm: np.ndarray) -> np.ndarray:
+    """Per row, the median of n group means and the row's own loss
+    (median-of-means; Lugosi & Mendelson, FoCM 2019).
 
-    The n+1 candidate count is odd, so the median is the exact middle order
-    statistic.  With estimator="mean" the plain mean of the selected losses
-    is returned instead (the grouping is still reported).
+    own is (rows,); selected and perm are (rows, n*k).  Group g of row r
+    holds selected[r, perm[r, g*k:(g+1)*k]], perm being the caller's random
+    permutation.  With estimator="mean" each row's plain mean is returned.
     """
-    selected = np.asarray(selected_losses, dtype=np.float64)
-    if selected.shape != (params.n * params.k,):
-        raise ValueError(
-            f"regroup_median: expected {params.n * params.k} selected losses, "
-            f"got {selected.shape}"
-        )
-    assignments = rng.permutation(selected.size).reshape(params.n, params.k)
-    means = selected[assignments].mean(axis=1)
-    groups = GroupMeans(assignments=assignments, means=means)
+    n, k = params.n, params.k
+    rows = own.size
+    if own.shape != (rows,) or selected.shape != (rows, n * k) or perm.shape != selected.shape:
+        raise ValueError(f"regroup_median: expected own ({rows},), selected and perm "
+                         f"({rows}, {n * k}); got {own.shape}, {selected.shape}, {perm.shape}")
     if params.estimator == "mean":
-        return float(selected.mean()), groups
-    # n+1 values, odd count: the middle order statistic via partition
-    # (same element np.median would pick, without its reduction overhead).
-    pool = np.append(means, sample_loss)
-    mid = pool.size // 2
-    return float(np.partition(pool, mid)[mid]), groups
-
-
-def _class_selection_weights(class_losses: np.ndarray, params: RegroupParams) -> np.ndarray:
-    """Selection weights over one class pool (the race sampler only needs
-    them up to a constant, so the full-pool softmax serves every member)."""
-    if params.use_processed_loss:
-        return softmax(-processed_loss(class_losses, params.epsilon_bias))
-    return softmax(-class_losses)
+        return selected.mean(axis=1)
+    means = np.take_along_axis(selected, perm, axis=1).reshape(rows, n, k).mean(axis=2)
+    # n+1 values, odd count: the exact middle order statistic, by partition.
+    pool = np.concatenate([means, own[:, None]], axis=1)
+    return np.partition(pool, n // 2, axis=1)[:, n // 2]
 
 
 def batch_weights(cache: LossCache, batch_indices: np.ndarray,
@@ -164,33 +151,43 @@ def regroup_estimates(losses: np.ndarray, dataset: Dataset, params: RegroupParam
     n groups of k, k shrinks; when it cannot fill n groups of one (a
     singleton class included), the estimate is the sample's own loss.  Every
     estimate is clamped to the plain loss.  Sample i draws only from
-    `rng.child(i)`, so the result does not depend on the visiting order.
+    `rng.child(i)`, so the result does not depend on the batching of rows.
     """
     losses = np.asarray(losses, dtype=np.float64)
     estimates = losses.copy()
     # Re-keyed generator pool: bit-identical to rng.child(i) but without a
     # fresh BitGenerator object per sample.
     fetch = child_generator_pool(rng)
+    n = params.n
     for members in dataset.class_index:
-        if members.size <= 1:
+        m = members.size
+        if m <= 1:
             continue
         class_losses = losses[members]
-        base_weights = _class_selection_weights(class_losses, params)
-        for pos in range(members.size):
-            weights = base_weights.copy()
-            weights[pos] = 0.0
-            available = int(np.count_nonzero(weights > 0))
-            k = params.k if params.n * params.k <= available else available // params.n
-            if k == 0:
-                continue
-            own = float(class_losses[pos])
-            gen = fetch(int(members[pos]))
-            # weights come from a softmax and n * k <= available, so the race
-            # core can skip re-validation.
-            draw = _race_draw(weights, params.n * k, gen)
-            local = params if k == params.k else replace(params, k=k)
-            estimate, _ = regroup_median(own, class_losses[draw], local, gen)
-            estimates[members[pos]] = min(estimate, own)
+        # One full-pool softmax: the race needs weights only up to a constant.
+        weights = softmax(-processed_loss(class_losses, params.epsilon_bias)
+                          if params.use_processed_loss else -class_losses)
+        positive = weights > 0
+        # A row's pool is the class's positive weights less its own, so a
+        # class has at most two k values; rows with k = 0 keep their loss.
+        row_k = np.minimum(params.k, (np.count_nonzero(positive) - positive) // n)
+        step = max(1, BUDGET // m)
+        for k in np.unique(row_k[row_k > 0]).tolist():
+            group = np.flatnonzero(row_k == k)
+            for start in range(0, group.size, step):
+                rows = group[start:start + step]
+                u = np.empty((rows.size, m))
+                perm = np.empty((rows.size, n * k), dtype=np.int64)
+                for r, i in enumerate(members[rows].tolist()):
+                    gen = fetch(i)
+                    gen.random(out=u[r])
+                    perm[r] = gen.permutation(n * k)
+                row_weights = np.tile(weights, (rows.size, 1))
+                row_weights[np.arange(rows.size), rows] = 0.0
+                draw = _race_draw(u, row_weights, n * k)
+                own = class_losses[rows]
+                estimate = regroup_median(own, class_losses[draw], replace(params, k=k), perm)
+                estimates[members[rows]] = np.minimum(estimate, own)
     return estimates
 
 

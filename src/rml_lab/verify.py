@@ -146,35 +146,35 @@ def check_prop1(trials: int, m: int, rng: RngStream,
     }
 
 
-def mom_estimate(samples, n: int, k: int, rng: RngStream) -> float:
-    """Regroup-median estimate of n*k+1 loss draws; the final entry plays the
-    training sample, the rest are regrouped.  Delegates to the training-path
-    implementation so the two stay bit-identical."""
+def mom_estimate(samples: np.ndarray, n: int, k: int, rng: RngStream) -> np.ndarray:
+    """Regroup-median estimate of each row of n*k+1 loss draws; the final
+    column plays the training sample, the rest are regrouped at random, by
+    the training-path kernel so the two stay bit-identical."""
     values = np.asarray(samples, dtype=np.float64)
-    if values.shape != (n * k + 1,):
-        raise ValueError(f"mom_estimate: expected {n * k + 1} samples, got {values.shape}")
-    estimate, _ = rml.regroup_median(
-        float(values[-1]), values[:-1], rml.RegroupParams(n=n, k=k), rng
-    )
-    return estimate
+    if values.ndim != 2 or values.shape[1] != n * k + 1:
+        raise ValueError(f"mom_estimate: expected rows of {n * k + 1} samples, got {values.shape}")
+    perm = np.argsort(rng.random((values.shape[0], n * k)), axis=1)
+    return rml.regroup_median(values[:, -1], values[:, :-1], rml.RegroupParams(n=n, k=k), perm)
 
 
 def check_prop2(experiment: MomExperiment, rng: RngStream) -> dict:
     """Monte Carlo exceedance rate of the regroup-median estimate against the
     analytic tail bound.  One-sided: the bound is loose by construction, so
     acceptance is rate <= bound + 3 binomial standard errors.  Vacuous-bound
-    configurations are reported, not failed."""
+    configurations are reported, not failed.  Trials are rows, in chunks of
+    at most rml.BUDGET draws; chunk c draws from rng.child(c)."""
     mu = experiment.population_mean()
     var = experiment.population_var()
     bound, margin = deviation_bound(experiment.n, experiment.k, var, experiment.epsilon_r)
     vacuous = margin <= 0
     draw = experiment.n * experiment.k + 1
+    step = max(1, rml.BUDGET // draw)
     exceed = 0
-    for t in range(experiment.trials):
-        tr = rng.child(t)
-        values = experiment.sample(tr, draw)
-        estimate = mom_estimate(values, experiment.n, experiment.k, tr)
-        exceed += abs(estimate - mu) > experiment.epsilon_r
+    for chunk, start in enumerate(range(0, experiment.trials, step)):
+        tr = rng.child(chunk)
+        values = experiment.sample(tr, (min(step, experiment.trials - start), draw))
+        estimates = mom_estimate(values, experiment.n, experiment.k, tr)
+        exceed += int(np.count_nonzero(np.abs(estimates - mu) > experiment.epsilon_r))
     rate = exceed / experiment.trials
     stderr = math.sqrt(max(rate * (1 - rate), 0.0) / experiment.trials)
     return {
@@ -196,10 +196,11 @@ def check_mom_robustness(ns: tuple[int, ...] = (2, 4, 6),
                          seed: int = 7) -> dict:
     """Exhaustive containment check for the median step.
 
-    For each (n, k): build real group means from a regroup call, then replace
-    every subset of at most ceil((n+1)/2)-1 of the n+1 median inputs with
-    every +-corrupt_value pattern.  The median must stay within [min, max] of
-    the untouched values in all cases.
+    For each (n, k): the n+1 median inputs are n means of random groups of
+    k and a sample loss; replace every subset of at most ceil((n+1)/2)-1 of
+    them with every +-corrupt_value pattern.  Each corrupted pool is a row of
+    one training-kernel call (k=1, identity permutation), and its median must
+    stay within [min, max] of the untouched values in all cases.
     """
     from itertools import combinations, product
 
@@ -208,24 +209,24 @@ def check_mom_robustness(ns: tuple[int, ...] = (2, 4, 6),
     for n in ns:
         for k in ks:
             rng = RngStream(seed, n * 100 + k)
-            selected = rng.uniform(0.0, 5.0, n * k)
-            sample_loss = float(rng.uniform(0.0, 5.0))
-            _, groups = rml.regroup_median(
-                sample_loss, selected, rml.RegroupParams(n=n, k=k), rng
-            )
-            pool = np.append(groups.means, sample_loss)
+            values = rng.uniform(0.0, 5.0, n * k + 1)   # n*k selected, then the sample's
+            means = values[rng.permutation(n * k)].reshape(n, k).mean(axis=1)
+            pool = np.append(means, values[-1])
             budget = (n + 1 + 1) // 2 - 1   # ceil((n+1)/2) - 1
+            rows, low, high = [], [], []
             for size in range(1, budget + 1):
                 for positions in combinations(range(n + 1), size):
+                    untouched = np.delete(pool, positions)
                     for signs in product((-1.0, 1.0), repeat=size):
-                        corrupted = pool.copy()
-                        for pos, sign in zip(positions, signs):
-                            corrupted[pos] = sign * corrupt_value
-                        untouched = np.delete(pool, positions)
-                        estimate = float(np.median(corrupted))
-                        cases += 1
-                        if not untouched.min() <= estimate <= untouched.max():
-                            violations += 1
+                        rows.append(pool.copy())
+                        rows[-1][list(positions)] = np.multiply(signs, corrupt_value)
+                        low.append(untouched.min())
+                        high.append(untouched.max())
+            rows = np.array(rows)
+            estimates = rml.regroup_median(rows[:, -1], rows[:, :-1], rml.RegroupParams(n=n, k=1),
+                                           np.broadcast_to(np.arange(n), (len(rows), n)))
+            cases += len(rows)
+            violations += int(np.count_nonzero((estimates < low) | (estimates > high)))
     return {
         "check": "mom",
         "trials": cases,

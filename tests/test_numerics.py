@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rml_lab.model import per_sample_ce
 from rml_lab.numerics import RngStream, _race_draw, child_generator_pool, softmax
@@ -58,41 +60,64 @@ class TestCrossEntropy:
 
 
 class TestSampleWithoutReplacement:
-    """The exponential-race draw the cache refresh uses."""
+    """The exponential-race draw the cache refresh uses, one row per draw."""
+
+    @staticmethod
+    def draw(w, count, rows, rng):
+        w = np.broadcast_to(np.asarray(w, dtype=np.float64), (rows, len(w)))
+        return _race_draw(rng.random(w.shape), w, count)
 
     def test_degenerate_mass(self):
-        rng = RngStream(1)
-        for _ in range(20):
-            assert _race_draw(np.array([1.0, 0.0, 0.0]), 1, rng).tolist() == [0]
+        picked = self.draw([1.0, 0.0, 0.0], 1, 20, RngStream(1))
+        assert picked.tolist() == [[0]] * 20
 
     def test_exhaustive_draw(self):
-        rng = RngStream(2)
-        assert sorted(_race_draw(np.array([1.0, 1.0]), 2, rng).tolist()) == [0, 1]
+        picked = self.draw([1.0, 1.0], 2, 1, RngStream(2))
+        assert sorted(picked[0].tolist()) == [0, 1]
 
     def test_marginal_frequency(self):
         # Single weighted draw: inclusion frequency must match the weight.
-        rng = RngStream(3)
-        trials = 100_000
-        hits = 0
-        for t in range(trials):
-            pick = _race_draw(np.array([0.9, 0.1]), 1, rng.child(t))
-            hits += pick[0] == 0
-        assert abs(hits / trials - 0.9) < 0.01
+        picked = self.draw([0.9, 0.1], 1, 100_000, RngStream(3))
+        assert abs(np.mean(picked[:, 0] == 0) - 0.9) < 0.01
 
     def test_inclusion_ordering(self):
-        rng = RngStream(4)
-        counts = np.zeros(3)
-        for t in range(20_000):
-            picked = _race_draw(np.array([0.5, 0.3, 0.2]), 2, rng.child(t))
-            counts[picked] += 1
+        picked = self.draw([0.5, 0.3, 0.2], 2, 20_000, RngStream(4))
+        counts = np.bincount(picked.ravel(), minlength=3)
         assert counts[0] > counts[1] > counts[2]
 
     def test_no_duplicates(self):
         rng = RngStream(5)
         w = np.abs(rng.normal(size=30)) + 1e-3
-        for t in range(200):
-            picked = _race_draw(w, 17, rng.child(t))
-            assert len(set(picked.tolist())) == 17
+        picked = self.draw(w, 17, 200, rng)
+        assert all(len(set(row)) == 17 for row in picked.tolist())
+
+    def test_rows_match_one_row_draws(self):
+        # Each row of a batched draw is the draw of that row alone.
+        rng = RngStream(6)
+        u, w = rng.random((50, 12)), rng.random((50, 12))
+        picked = _race_draw(u, w, 5)
+        for r in range(50):
+            np.testing.assert_array_equal(picked[r], _race_draw(u[r:r + 1], w[r:r + 1], 5)[0])
+
+    @given(st.integers(1, 12), st.integers(1, 20), st.integers(0, 2**32), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_picks_distinct_positive_weight_columns(self, rows, m, seed, data):
+        # The refresh zeroes each row's own weight, and softmax weights of
+        # far-out losses underflow to 0: a zero weight must never win, and no
+        # column may win twice.  Positive weights stay far enough above the
+        # subnormal range that their keys are finite.
+        rng = RngStream(seed)
+        w = rng.random((rows, m)) * np.exp(-rng.uniform(0, 600, (rows, m)))
+        w[rng.random((rows, m)) < 0.3] = 0.0
+        w[np.arange(rows), rng.integers(0, m, rows)] = 0.0
+        positive = int((w > 0).sum(axis=1).min())
+        if positive == 0:
+            return
+        count = data.draw(st.integers(1, positive))
+        picked = _race_draw(rng.random((rows, m)), w, count)
+        assert picked.shape == (rows, count)
+        assert (np.take_along_axis(w, picked, axis=1) > 0).all()
+        assert all(len(set(row)) == count for row in picked.tolist())
 
 
 class TestRngStream:

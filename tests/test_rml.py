@@ -80,63 +80,82 @@ class TestProbabilityShift:
         np.testing.assert_allclose(shift, losses * (losses + 1.5) - beta, atol=1e-9)
 
 
+def _rows(values, rows):
+    """`rows` copies of one vector, as a (rows, len) float array."""
+    return np.tile(np.asarray(values, dtype=np.float64), (rows, 1))
+
+
+def _perms(rows, width, rng):
+    return np.argsort(rng.random((rows, width)), axis=1)
+
+
 class TestRegroupMedian:
     def test_singleton_groups(self):
-        est, groups = regroup_median(0.5, [1, 2, 3, 4, 5, 6],
-                                     RegroupParams(n=6, k=1), RngStream(0))
-        assert est == 3.0
-        np.testing.assert_allclose(np.sort(groups.means), [1, 2, 3, 4, 5, 6])
+        # k=1: the group means are the selected losses themselves, whatever
+        # the permutation; the median of [0.5, 1..6] is 3.
+        est = regroup_median(np.full(20, 0.5), _rows([1, 2, 3, 4, 5, 6], 20),
+                             RegroupParams(n=6, k=1), _perms(20, 6, RngStream(0)))
+        assert est.tolist() == [3.0] * 20
 
     def test_equal_values_majority(self):
-        for sample_loss in (0.0, 9.9):
-            est, _ = regroup_median(sample_loss, np.full(8, 2.0),
-                                    RegroupParams(n=4, k=2), RngStream(1))
-            assert est == 2.0
+        est = regroup_median(np.array([0.0, 9.9]), _rows(np.full(8, 2.0), 2),
+                             RegroupParams(n=4, k=2), _perms(2, 8, RngStream(1)))
+        assert est.tolist() == [2.0, 2.0]
 
     def test_partition_enumeration_oracle(self):
         # selected [0, 0, 10, 10], n=2, k=2, sample 0: the three distinct
-        # partitions give medians {0, 5, 5}; every draw must match the
+        # partitions give medians {0, 5, 5}; every row must match the
         # brute-force median for its own grouping and land in {0, 5}.
         selected = np.array([0.0, 0.0, 10.0, 10.0])
-        params = RegroupParams(n=2, k=2)
-        seen = set()
-        for seed in range(40):
-            est, groups = regroup_median(0.0, selected, params, RngStream(seed))
-            expected_means = selected[groups.assignments].mean(axis=1)
-            expected = float(np.median(np.append(expected_means, 0.0)))
-            assert est == expected
-            seen.add(est)
-        assert seen == {0.0, 5.0}
+        perm = _perms(40, 4, RngStream(2))
+        est = regroup_median(np.zeros(40), _rows(selected, 40), RegroupParams(n=2, k=2), perm)
+        for row, p in zip(est, perm):
+            expected_means = selected[p.reshape(2, 2)].mean(axis=1)
+            assert row == float(np.median(np.append(expected_means, 0.0)))
+        assert set(est.tolist()) == {0.0, 5.0}
 
     def test_groups_are_disjoint_and_sized(self):
+        # Groups are consecutive k-blocks of perm.  With own loss 0, arange(12)
+        # in 4 groups of 3 has means 1, 4, 7, 10 (median 4) for the identity
+        # and for the reversed order; the shuffle below gives means 4, 7, 5, 6
+        # (median 5).
         params = RegroupParams(n=4, k=3)
-        _, groups = regroup_median(1.0, np.arange(12.0), params, RngStream(2))
-        flat = groups.assignments.ravel()
-        assert sorted(flat.tolist()) == list(range(12))
-        assert groups.assignments.shape == (4, 3)
-        np.testing.assert_allclose(
-            groups.means, np.arange(12.0)[groups.assignments].mean(axis=1)
-        )
+        perm = np.array([np.arange(12), np.arange(12)[::-1],
+                         [0, 11, 1, 10, 2, 9, 3, 8, 4, 7, 5, 6]])
+        est = regroup_median(np.zeros(3), _rows(np.arange(12.0), 3), params, perm)
+        assert est.tolist() == [4.0, 4.0, 5.0]
 
-    def test_median_is_a_member(self):
-        rng = RngStream(3)
-        for t in range(100):
-            child = rng.child(t)
-            selected = child.uniform(0, 10, 12)
-            sample = float(child.uniform(0, 10))
-            est, groups = regroup_median(sample, selected, RegroupParams(n=6, k=2), child)
-            pool = np.append(groups.means, sample)
-            assert est in pool
+    @given(st.integers(1, 8), st.sampled_from([(2, 1), (2, 3), (4, 2), (6, 2)]),
+           st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_median_is_a_member(self, rows, nk, seed):
+        n, k = nk
+        rng = RngStream(seed)
+        selected = rng.uniform(0, 10, (rows, n * k))
+        own = rng.uniform(0, 10, rows)
+        perm = _perms(rows, n * k, rng)
+        est = regroup_median(own, selected, RegroupParams(n=n, k=k), perm)
+        means = np.take_along_axis(selected, perm, axis=1).reshape(rows, n, k).mean(axis=2)
+        for r in range(rows):
+            assert est[r] in np.append(means[r], own[r])
 
     def test_mean_estimator_variant(self):
-        selected = np.arange(8.0)
-        est, _ = regroup_median(99.0, selected, RegroupParams(n=2, k=4, estimator="mean"),
-                                RngStream(4))
-        assert est == selected.mean()
+        selected = _rows(np.arange(8.0), 2)
+        selected[1] *= 3
+        est = regroup_median(np.array([99.0, 99.0]), selected,
+                             RegroupParams(n=2, k=4, estimator="mean"), _perms(2, 8, RngStream(4)))
+        assert est.tolist() == [3.5, 10.5]
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            regroup_median(1.0, [1.0, 2.0], RegroupParams(n=2, k=2), RngStream(5))
+        index = np.zeros((1, 4), dtype=np.int64)
+        for own, selected, perm in [
+            (np.ones(1), np.ones((1, 2)), index[:, :2]),     # width != n*k
+            (np.ones(2), np.ones((1, 4)), index),            # row counts differ
+            (np.ones(1), np.ones((1, 4)), index[:, :3]),     # perm shape
+            (np.float64(1.0), np.ones((1, 4)), index),       # own not 1-D
+        ]:
+            with pytest.raises(ValueError):
+                regroup_median(own, selected, RegroupParams(n=2, k=2), perm)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -178,20 +197,25 @@ class TestEstimateForSample:
             assert tight.min() <= est <= tight.max()
 
     def test_shrink_fallback_reduces_k(self, monkeypatch):
-        # 9 candidates cannot fill 2 groups of 20; k shrinks to 4.  Each
-        # estimate is then a median of group means of 4 peers and its own
-        # loss, which a spy on regroup_median sees.
-        ds, losses = _cache_dataset([np.linspace(1, 2, 10)])
+        # Class 0: 10 peers at losses 1..2 plus one at 40, whose weight
+        # underflows to 0.  Its ten positive-weight members see 9 candidates,
+        # which cannot fill 2 groups of 20, so k shrinks to 4; the 40 sees
+        # all 10 and gets k = 5.  Class 1 (5 members) shrinks to k = 2, and
+        # the singleton class 2 keeps its own loss.  A spy on regroup_median
+        # sees one batched call per (class, k) group, never one per sample.
+        ds, losses = _cache_dataset([np.append(np.linspace(1, 2, 10), 40.0),
+                                     np.linspace(1, 2, 5), [3.0]])
         seen = []
 
-        def spy(sample_loss, selected, params, rng):
-            seen.append((params.n, params.k, len(selected)))
-            return regroup_median(sample_loss, selected, params, rng)
+        def spy(own, selected, params, perm):
+            seen.append((params.n, params.k, selected.shape))
+            return regroup_median(own, selected, params, perm)
 
         monkeypatch.setattr(rml, "regroup_median", spy)
         est = regroup_estimates(losses, ds, RegroupParams(n=2, k=20), RngStream(2))
-        assert seen == [(2, 4, 8)] * 10
+        assert seen == [(2, 4, (10, 8)), (2, 5, (1, 10)), (2, 2, (5, 4))]
         assert (1.0 <= est).all() and (est <= losses).all()
+        assert est[-1] == 3.0
 
     def test_self_excluded_from_candidates(self):
         # Sample 0 is an outlier; with every other loss equal, any draw that
@@ -201,6 +225,55 @@ class TestEstimateForSample:
             est = _estimate_first([np.concatenate([[100.0], np.full(8, 3.0)])],
                                   params, RngStream(seed))
             assert est == 3.0
+
+
+def _reference_estimates(losses, dataset, params, rng):
+    """The refresh one sample at a time, as the per-sample loop computed it:
+    the oracle for the batched kernel's bytes."""
+    estimates = losses.copy()
+    n = params.n
+    for members in dataset.class_index:
+        pool = losses[members]
+        logits = -processed_loss(pool, params.epsilon_bias) if params.use_processed_loss else -pool
+        for pos, i in enumerate(members.tolist()):
+            w = softmax(logits)
+            w[pos] = 0.0
+            k = min(params.k, np.count_nonzero(w) // n)
+            if k == 0:
+                continue
+            gen = rng.child(i).generator
+            with np.errstate(divide="ignore", over="ignore"):
+                keys = -np.log(gen.random(w.size)) / w
+            picked = np.argpartition(keys, n * k - 1)[:n * k]
+            selected = pool[picked[np.argsort(keys[picked], kind="stable")]]
+            means = selected[gen.permutation(n * k)].reshape(n, k).mean(axis=1)
+            median = np.partition(np.append(means, pool[pos]), n // 2)[n // 2]
+            estimate = selected.mean() if params.estimator == "mean" else median
+            estimates[i] = min(estimate, pool[pos])
+    return estimates
+
+
+class TestReferenceOracle:
+    @pytest.mark.parametrize("overrides", [
+        {}, {"use_processed_loss": False}, {"estimator": "mean"}, {"n": 2, "k": 2},
+    ], ids=["rml", "no_processing", "no_median", "n2k2"])
+    @pytest.mark.parametrize("budget", [rml.BUDGET, 60], ids=["one_chunk", "chunked"])
+    def test_matches_per_sample_reference(self, overrides, budget, monkeypatch):
+        # A class that fills n groups of k; classes smaller than n*k (k
+        # shrinks); one with losses near 40, whose processed weights
+        # underflow to 0 (so its members see two pool sizes); a singleton.
+        # A small budget splits classes into many chunks of rows.
+        monkeypatch.setattr(rml, "BUDGET", budget)
+        g = np.random.default_rng(7)
+        ds, losses = _cache_dataset([
+            g.exponential(1.0, 150), g.uniform(0, 3, 9),
+            np.append(g.uniform(0, 2, 12), [39.5, 40.0, 41.0]), g.uniform(0, 3, 3), [2.5],
+        ])
+        params = RegroupParams(**overrides)
+        for seed in (0, 1):
+            np.testing.assert_array_equal(
+                regroup_estimates(losses, ds, params, RngStream(seed, 12)),
+                _reference_estimates(losses, ds, params, RngStream(seed, 12)))
 
 
 class TestCacheUpdates:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rml_lab import rml
 from rml_lab.data import Dataset
 from rml_lab.numerics import RngStream, softmax
 from rml_lab.rml import LossCache, RegroupParams, regroup_median, selection_probabilities
@@ -45,16 +46,18 @@ class TestCheckProp1:
 
 class TestMomEstimate:
     def test_delegates_bit_for_bit(self):
-        rng = np.random.default_rng(2)
-        values = rng.uniform(0, 5, 13)
+        # One row per trial through the training kernel, each row regrouped
+        # by the argsort of its own uniforms.
+        values = np.random.default_rng(2).uniform(0, 5, (30, 13))
         a = mom_estimate(values, 6, 2, RngStream(3, 8))
-        b, _ = regroup_median(values[-1], values[:-1], RegroupParams(n=6, k=2),
-                              RngStream(3, 8))
-        assert a == b
+        perm = np.argsort(RngStream(3, 8).random((30, 12)), axis=1)
+        b = regroup_median(values[:, -1], values[:, :-1], RegroupParams(n=6, k=2), perm)
+        np.testing.assert_array_equal(a, b)
 
     def test_shape_guard(self):
-        with pytest.raises(ValueError):
-            mom_estimate(np.zeros(12), 6, 2, RngStream(4))
+        for shape in [(12,), (13,), (2, 12)]:
+            with pytest.raises(ValueError):
+                mom_estimate(np.zeros(shape), 6, 2, RngStream(4))
 
 
 class TestDeviationBound:
@@ -114,15 +117,12 @@ class TestCheckProp2:
         # around 1.0 keeps the estimate within 0.5 of the base mean.
         rng = RngStream(9, 9)
         base = Population("normal", 1.0, 0.1)
-        hits = 0
         trials = 5000
-        for t in range(trials):
-            tr = rng.child(t)
-            values = np.concatenate([base.sample(tr, 5), [1e9, -1e9]])
-            values = values[tr.permutation(7)]
-            estimate = mom_estimate(values, 6, 1, tr)
-            hits += abs(estimate - base.mean()) <= 0.5
-        assert hits / trials >= 0.99
+        values = np.concatenate([base.sample(rng, (trials, 5)),
+                                 np.tile([1e9, -1e9], (trials, 1))], axis=1)
+        values = np.take_along_axis(values, np.argsort(rng.random((trials, 7)), axis=1), axis=1)
+        estimate = mom_estimate(values, 6, 1, rng)
+        assert np.mean(np.abs(estimate - base.mean()) <= 0.5) >= 0.99
 
 
 class TestMomRobustness:
@@ -131,6 +131,19 @@ class TestMomRobustness:
         assert report["pass"]
         assert report["statistic"] == 0
         assert report["trials"] > 0
+
+    def test_pools_run_through_the_training_kernel(self, monkeypatch):
+        # One regroup_median call per (n, k), one row per corrupted pool.
+        seen = []
+
+        def spy(own, selected, params, perm):
+            seen.append((params.n, params.k, selected.shape[0]))
+            return regroup_median(own, selected, params, perm)
+
+        monkeypatch.setattr(rml, "regroup_median", spy)
+        report = check_mom_robustness(ns=(2, 4), ks=(1, 3))
+        assert [s[:2] for s in seen] == [(2, 1), (2, 1), (4, 1), (4, 1)]
+        assert sum(s[2] for s in seen) == report["trials"] == 2 * (3 * 2 + 5 * 2 + 10 * 4)
 
 
 def _separated_cache():
