@@ -141,10 +141,16 @@ def log_softmax(logits, axis: int = -1) -> np.ndarray:
     return z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
 
 
-def logsumexp(values) -> float:
+def logsumexp(values, axis: int = -1):
+    """log(sum(exp(values))) along `axis`, max-shifted."""
     v = np.asarray(values, dtype=np.float64)
-    m = np.max(v)
-    return float(m + np.log(np.sum(np.exp(v - m))))
+    m = np.max(v, axis=axis, keepdims=True)
+    return np.squeeze(m, axis) + np.log(np.sum(np.exp(v - m), axis=axis))
+
+
+# Smallest weight whose race key -log(u)/w is finite for every nonzero draw
+# of Generator.random (u >= 2**-53): 53 ln 2 / DBL_MAX, ~2.04e-307.
+RACE_MIN_WEIGHT = float(-np.log(2.0 ** -53) / np.finfo(np.float64).max)
 
 
 def _race_draw(u: np.ndarray, w: np.ndarray, count: int) -> np.ndarray:
@@ -154,9 +160,10 @@ def _race_draw(u: np.ndarray, w: np.ndarray, count: int) -> np.ndarray:
     Exponential-race keys, equivalent to successive draws with
     renormalization: column j gets key -log(u_j)/w_j and the row's smallest
     `count` keys win, in key order.  Trusts its inputs: u and w are (rows,
-    m), w finite and >= 0 with at least `count` positive entries per row.
+    m), w finite and >= 0 with at least `count` entries per row at or above
+    RACE_MIN_WEIGHT, the entries whose keys are finite for every nonzero u.
+    Smaller weights, zero included, can get tied infinite keys.
     """
-    # Zero or subnormal weights give inf keys, drawn only once finite keys run out.
     with np.errstate(divide="ignore", over="ignore"):
         keys = -np.log(u) / w
     picked = np.argpartition(keys, count - 1, axis=1)[:, :count]

@@ -9,6 +9,10 @@ own loss.  Because the median of n+1 values tolerates up to ceil((n+1)/2)-1
 corrupted entries, a handful of mislabeled candidates cannot drag the
 estimate.
 
+The selection rule lives here alone: the refresh draws by
+`selection_by_class`, and the training metrics and verify's cor1 report it.
+`probability_shift` (Proposition 1) takes one pool or rows of pools.
+
 Loss bookkeeping follows the epoch cache discipline: plain losses and
 estimates are recomputed once per epoch, from the refresh's own full forward
 pass; each class's estimates take one race draw and one `regroup_median`
@@ -28,6 +32,7 @@ from . import model as model_ops
 from .data import Dataset
 from .numerics import (
     LOSS_FLOOR,
+    RACE_MIN_WEIGHT,
     RngStream,
     _race_draw,
     child_generator_pool,
@@ -94,19 +99,35 @@ def selection_probabilities(losses, epsilon_bias: float = 1.0) -> np.ndarray:
     return softmax(-processed_loss(l, epsilon_bias))
 
 
-def probability_shift(losses, epsilon_bias: float = 1.0) -> tuple[np.ndarray, float]:
+def selection_by_class(dataset: Dataset, losses: np.ndarray, epsilon_bias: float = 1.0,
+                       processed: bool = True) -> np.ndarray:
+    """Every sample's selection probability within its class:
+    `selection_probabilities` over the class's losses, or softmax(-l) with
+    processed=False (the no-processing ablation)."""
+    losses = np.asarray(losses, dtype=np.float64)
+    out = np.empty(losses.size)
+    for members in dataset.class_index:
+        if members.size:
+            pool = losses[members]
+            out[members] = (selection_probabilities(pool, epsilon_bias) if processed
+                            else softmax(-pool))
+    return out
+
+
+def probability_shift(losses, epsilon_bias: float = 1.0) -> tuple[np.ndarray, np.ndarray | float]:
     """Per-sample log-probability change caused by loss processing, with the
     pool constant beta = log(sum exp(-l) / sum exp(-processed)).
 
     The change equals l*(l + eps - 1) - beta; with eps = 1 it is l^2 - beta,
     so exactly the samples with l^2 > beta lose selection probability.
-    Both probabilities are evaluated in log space.
+    Both probabilities are evaluated in log space.  Rows of pools, (rows, m),
+    give (rows, m) shifts and (rows,) betas; one pool gets a float beta.
     """
     l = np.asarray(losses, dtype=np.float64)
     proc = processed_loss(l, epsilon_bias)
     shift = log_softmax(-l) - log_softmax(-proc)
     beta = logsumexp(-l) - logsumexp(-proc)
-    return shift, float(beta)
+    return shift, (beta if l.ndim > 1 else float(beta))
 
 
 def regroup_median(own: np.ndarray, selected: np.ndarray, params: RegroupParams,
@@ -146,15 +167,20 @@ def regroup_estimates(losses: np.ndarray, dataset: Dataset, params: RegroupParam
                       rng: RngStream) -> np.ndarray:
     """Corrected regroup-median estimate of every sample from plain losses.
 
-    Candidates are the sample's class peers, the sample itself excluded so it
-    cannot vote for its own loss.  When the positive-weight pool cannot fill
-    n groups of k, k shrinks; when it cannot fill n groups of one (a
-    singleton class included), the estimate is the sample's own loss.  Every
-    estimate is clamped to the plain loss.  Sample i draws only from
-    `rng.child(i)`, so the result does not depend on the batching of rows.
+    Candidates are the sample's class peers with a selection weight of at
+    least RACE_MIN_WEIGHT, so that every candidate's race key is finite; the
+    sample itself is excluded so it cannot vote for its own loss.  When the
+    candidates cannot fill n groups of k, k shrinks; when they cannot fill n
+    groups of one (a singleton class included), the estimate is the sample's
+    own loss.  Every estimate is clamped to the plain loss.  Sample i draws
+    only from `rng.child(i)`, so the result does not depend on the batching
+    of rows.
     """
     losses = np.asarray(losses, dtype=np.float64)
     estimates = losses.copy()
+    # The race needs weights only up to a constant: the class softmax will do.
+    selection = selection_by_class(dataset, losses, params.epsilon_bias,
+                                   params.use_processed_loss)
     # Re-keyed generator pool: bit-identical to rng.child(i) but without a
     # fresh BitGenerator object per sample.
     fetch = child_generator_pool(rng)
@@ -164,13 +190,11 @@ def regroup_estimates(losses: np.ndarray, dataset: Dataset, params: RegroupParam
         if m <= 1:
             continue
         class_losses = losses[members]
-        # One full-pool softmax: the race needs weights only up to a constant.
-        weights = softmax(-processed_loss(class_losses, params.epsilon_bias)
-                          if params.use_processed_loss else -class_losses)
-        positive = weights > 0
-        # A row's pool is the class's positive weights less its own, so a
+        weights = selection[members]
+        available = weights >= RACE_MIN_WEIGHT
+        # A row's pool is the class's available weights less its own, so a
         # class has at most two k values; rows with k = 0 keep their loss.
-        row_k = np.minimum(params.k, (np.count_nonzero(positive) - positive) // n)
+        row_k = np.minimum(params.k, (np.count_nonzero(available) - available) // n)
         step = max(1, BUDGET // m)
         for k in np.unique(row_k[row_k > 0]).tolist():
             group = np.flatnonzero(row_k == k)

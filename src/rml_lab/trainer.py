@@ -77,16 +77,6 @@ class MetricsRow:
 METRICS_COLUMNS = list(MetricsRow.__dataclass_fields__)
 
 
-def selection_prob_by_sample(dataset: Dataset, losses: np.ndarray,
-                             epsilon_bias: float) -> np.ndarray:
-    """Within-class selection probability of every sample, from its loss."""
-    out = np.empty(dataset.n_samples)
-    for members in dataset.class_index:
-        if members.size:
-            out[members] = rml.selection_probabilities(losses[members], epsilon_bias)
-    return out
-
-
 def _epoch_metrics(epoch: int, train_loss: float, dataset: Dataset, losses: np.ndarray,
                    test: Dataset | None, model: ModelState,
                    epsilon_bias: float, labeled_fraction: float) -> MetricsRow:
@@ -101,7 +91,7 @@ def _epoch_metrics(epoch: int, train_loss: float, dataset: Dataset, losses: np.n
     clean_loss = noisy_loss = clean_p = noisy_p = float("nan")
     if dataset.true_labels is not None:
         mask = corruption_mask(dataset)
-        sel = selection_prob_by_sample(dataset, losses, epsilon_bias)
+        sel = rml.selection_by_class(dataset, losses, epsilon_bias)
         if (~mask).any():
             clean_loss = float(losses[~mask].mean())
             clean_p = float(sel[~mask].mean())

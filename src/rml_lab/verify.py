@@ -2,12 +2,16 @@
 training run.
 
 Checks covered:
-  * the exact identity for the selection-probability change under loss
-    processing, including the sign rule around the pool constant beta;
-  * the exponential concentration bound on the regroup-median estimate for
-    contaminated loss populations (median-of-means tail bound);
-  * the direction claim that loss processing concentrates selection mass on
-    truly clean samples once noisy losses exceed clean ones.
+  * prop1: the exact identity for the selection-probability change under
+    loss processing, including the sign rule around the pool constant beta;
+  * prop2: the exponential concentration bound on the regroup-median
+    estimate of a loss population (median-of-means tail bound);
+  * mom: exhaustive containment of the median step under contamination;
+  * cor1: the direction claim that loss processing concentrates selection
+    mass on truly clean samples once noisy losses exceed clean ones.
+
+Each runs the training path's own `rml` kernel on rows: of pools (prop1),
+of draws (prop2, mom), or of a cache's samples by class (cor1).
 
 Every check returns a JSON-ready report dict: {check, trials, statistic,
 bound, pass, ...extras}.
@@ -23,7 +27,7 @@ import numpy as np
 from . import rml
 from .data import Dataset
 from .noise import corruption_mask
-from .numerics import RngStream, softmax
+from .numerics import RngStream, child_generator_pool
 
 
 @dataclass
@@ -50,49 +54,21 @@ class Population:
 
 @dataclass
 class MomExperiment:
-    """Group-median deviation experiment on a (possibly contaminated) loss
-    population.  epsilon_r is the deviation radius being tested, distinct
-    from the loss-processing bias."""
+    """Group-median deviation experiment on a loss population.  epsilon_r is
+    the deviation radius being tested, distinct from the loss-processing
+    bias."""
 
     base: Population
     n: int = 6
     k: int = 10
     epsilon_r: float = 1.0
     trials: int = 100_000
-    contamination: Population | None = None
-    contamination_weight: float = 0.0
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("MomExperiment: trials must be >= 1")
         if self.epsilon_r <= 0:
             raise ValueError("MomExperiment: epsilon_r must be > 0")
-        if not 0.0 <= self.contamination_weight < 1.0:
-            raise ValueError("MomExperiment: contamination_weight must be in [0, 1)")
-        if self.contamination_weight > 0 and self.contamination is None:
-            raise ValueError("MomExperiment: contamination population missing")
-
-    def sample(self, rng: RngStream, size: int) -> np.ndarray:
-        values = self.base.sample(rng, size)
-        if self.contamination_weight > 0:
-            hit = rng.random(size) < self.contamination_weight
-            if hit.any():
-                values = values.copy()
-                values[hit] = self.contamination.sample(rng, int(hit.sum()))
-        return values
-
-    def population_mean(self) -> float:
-        w = self.contamination_weight
-        if w == 0:
-            return self.base.mean()
-        return (1 - w) * self.base.mean() + w * self.contamination.mean()
-
-    def population_var(self) -> float:
-        w = self.contamination_weight
-        second = (1 - w) * (self.base.var() + self.base.mean() ** 2)
-        if w > 0:
-            second += w * (self.contamination.var() + self.contamination.mean() ** 2)
-        return second - self.population_mean() ** 2
 
 
 def deviation_bound(n: int, k: int, variance: float, epsilon_r: float) -> tuple[float, float]:
@@ -113,22 +89,27 @@ def check_prop1(trials: int, m: int, rng: RngStream,
     For every pool, the log-probability change of each sample must equal
     l*(l + eps - 1) - beta (computed through two independent float paths),
     the pool constant beta must be positive, and the sign of the change must
-    flip exactly where l^2 crosses beta.
+    flip exactly where l^2 crosses beta.  Pool t is drawn from rng.child(t);
+    pools are rows, checked in chunks of at most rml.BUDGET losses.
     """
     if trials < 1:
         raise ValueError("check_prop1: trials must be >= 1")
     if m < 2:
         raise ValueError("check_prop1: need m >= 2")
     low, high = loss_range
+    fetch = child_generator_pool(rng)
+    step = max(1, rml.BUDGET // m)
     max_residual = 0.0
     beta_positive = True
     sign_violations = 0
-    for t in range(trials):
-        losses = rng.child(t).uniform(low, high, m)
+    for start in range(0, trials, step):
+        losses = np.array([fetch(t).uniform(low, high, m)
+                           for t in range(start, min(start + step, trials))])
         shift, beta = rml.probability_shift(losses, epsilon_bias)
+        beta = beta[:, None]
         closed = losses * (losses + epsilon_bias - 1.0) - beta
         max_residual = max(max_residual, float(np.max(np.abs(shift - closed))))
-        beta_positive &= beta > 0
+        beta_positive &= bool(np.all(beta > 0))
         if epsilon_bias == 1.0:
             # Sign rule: probability falls iff l^2 > beta (guard exact ties).
             crossing = losses ** 2 - beta
@@ -163,8 +144,8 @@ def check_prop2(experiment: MomExperiment, rng: RngStream) -> dict:
     acceptance is rate <= bound + 3 binomial standard errors.  Vacuous-bound
     configurations are reported, not failed.  Trials are rows, in chunks of
     at most rml.BUDGET draws; chunk c draws from rng.child(c)."""
-    mu = experiment.population_mean()
-    var = experiment.population_var()
+    mu = experiment.base.mean()
+    var = experiment.base.var()
     bound, margin = deviation_bound(experiment.n, experiment.k, var, experiment.epsilon_r)
     vacuous = margin <= 0
     draw = experiment.n * experiment.k + 1
@@ -172,7 +153,7 @@ def check_prop2(experiment: MomExperiment, rng: RngStream) -> dict:
     exceed = 0
     for chunk, start in enumerate(range(0, experiment.trials, step)):
         tr = rng.child(chunk)
-        values = experiment.sample(tr, (min(step, experiment.trials - start), draw))
+        values = experiment.base.sample(tr, (min(step, experiment.trials - start), draw))
         estimates = mom_estimate(values, experiment.n, experiment.k, tr)
         exceed += int(np.count_nonzero(np.abs(estimates - mu) > experiment.epsilon_r))
     rate = exceed / experiment.trials
@@ -243,19 +224,15 @@ def check_cor1(dataset: Dataset, cache: rml.LossCache,
     mean loss), processing must not lose clean mass."""
     mask = corruption_mask(dataset)
     losses = cache.loss
+    plain = rml.selection_by_class(dataset, losses, epsilon_bias, processed=False)
+    processed = rml.selection_by_class(dataset, losses, epsilon_bias)
     plain_mass = []
     processed_mass = []
     for members in dataset.class_index:
-        if members.size == 0:
-            continue
-        clean_members = ~mask[members]
-        if not clean_members.any():
-            continue
-        member_losses = losses[members]
-        plain = softmax(-member_losses)
-        processed = rml.selection_probabilities(member_losses, epsilon_bias)
-        plain_mass.append(float(plain[clean_members].sum()))
-        processed_mass.append(float(processed[clean_members].sum()))
+        clean = members[~mask[members]]
+        if clean.size:
+            plain_mass.append(float(plain[clean].sum()))
+            processed_mass.append(float(processed[clean].sum()))
     plain_mean = float(np.mean(plain_mass))
     processed_mean = float(np.mean(processed_mass))
     premise = False

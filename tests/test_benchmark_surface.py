@@ -1,21 +1,41 @@
-"""The benchmark's traced run wraps the functions named in
-`perfbench/spans.py`'s LAYERS; a rename or deletion there would break traced
-runs, which sit outside this suite.  This test fails first instead."""
+"""The benchmark under `perfbench/` calls into the program from outside this
+suite: its traced run wraps the functions named in `spans.py`'s LAYERS, and
+`checks.py` calls `rml.probability_shift` on one pool at a time.  A rename,
+deletion or changed signature would break benchmark runs; these tests fail
+first instead."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import numpy as np
+
+from rml_lab import rml
+from rml_lab.numerics import RngStream
+from rml_lab.verify import check_prop1
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name, monkeypatch):
+    """perfbench/<name>.py as a module, without writing bytecode under perfbench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_function_exists(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave perfbench/ as it is
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load("spans", monkeypatch)
     missing = [f"{layer}.{name}" for layer, names in spans.LAYERS.items()
                for name in names
                if not callable(getattr(importlib.import_module(f"rml_lab.{layer}"), name, None))]
     assert missing == []
+
+
+def test_prop1_check_accepts_the_program_shift(monkeypatch):
+    checks = _load("checks", monkeypatch)
+    checks.check_prop1(check_prop1(200, 100, RngStream(0, 5)), rml.probability_shift,
+                       np.random.default_rng(0))

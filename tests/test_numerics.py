@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rml_lab.model import per_sample_ce
-from rml_lab.numerics import RngStream, _race_draw, child_generator_pool, softmax
+from rml_lab.numerics import (
+    RACE_MIN_WEIGHT,
+    RngStream,
+    _race_draw,
+    child_generator_pool,
+    softmax,
+)
 
 
 def row_ce(probs, label: int) -> float:
@@ -98,6 +104,17 @@ class TestSampleWithoutReplacement:
         picked = _race_draw(u, w, 5)
         for r in range(50):
             np.testing.assert_array_equal(picked[r], _race_draw(u[r:r + 1], w[r:r + 1], 5)[0])
+
+    def test_min_weight_is_the_finite_key_threshold(self):
+        # Against the smallest nonzero uniform, 2**-53, RACE_MIN_WEIGHT's key
+        # is finite and beats the next float below, whose key is infinite.
+        tiny = 2.0 ** -53
+        below = np.nextafter(RACE_MIN_WEIGHT, 0.0)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(-np.log(tiny) / RACE_MIN_WEIGHT)
+            assert np.isinf(-np.log(tiny) / below)
+        picked = _race_draw(np.full((1, 2), tiny), np.array([[below, RACE_MIN_WEIGHT]]), 1)
+        assert picked.tolist() == [[1]]
 
     @given(st.integers(1, 12), st.integers(1, 20), st.integers(0, 2**32), st.data())
     @settings(max_examples=100, deadline=None)

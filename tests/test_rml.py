@@ -10,7 +10,7 @@ from rml_lab import rml
 from rml_lab.data import Dataset, feature_stats, make_blobs, standardize
 from rml_lab.model import init_model, init_optimizer
 from rml_lab.noise import inject_symmetric
-from rml_lab.numerics import RngStream, softmax
+from rml_lab.numerics import RACE_MIN_WEIGHT, RngStream, _race_draw, logsumexp, softmax
 from rml_lab.rml import (
     LossCache,
     RegroupParams,
@@ -22,6 +22,7 @@ from rml_lab.rml import (
     refresh_cache,
     regroup_estimates,
     regroup_median,
+    selection_by_class,
     selection_probabilities,
 )
 from rml_lab.trainer import RunConfig, train_ce
@@ -48,6 +49,21 @@ class TestSelectionProbabilities:
     def test_rejects_negative_losses(self):
         with pytest.raises(ValueError):
             selection_probabilities(np.array([-0.1, 1.0]))
+
+
+class TestSelectionByClass:
+    def test_matches_per_class_softmax(self):
+        # Class 1 is empty and class 3 a singleton.
+        labels = np.array([0, 2, 0, 3, 2, 0, 2], dtype=np.int64)
+        ds = Dataset(np.zeros((7, 1)), labels, 4)
+        losses = np.random.default_rng(5).uniform(0, 8, 7)
+        processed = selection_by_class(ds, losses, 1.5)
+        plain = selection_by_class(ds, losses, 1.5, processed=False)
+        for members in ds.class_index[:1] + ds.class_index[2:]:
+            np.testing.assert_array_equal(processed[members],
+                                          selection_probabilities(losses[members], 1.5))
+            np.testing.assert_array_equal(plain[members], softmax(-losses[members]))
+        assert processed[3] == plain[3] == 1.0
 
 
 class TestProbabilityShift:
@@ -78,6 +94,19 @@ class TestProbabilityShift:
         losses = np.random.default_rng(4).uniform(0, 5, 25)
         shift, beta = probability_shift(losses, epsilon_bias=2.5)
         np.testing.assert_allclose(shift, losses * (losses + 1.5) - beta, atol=1e-9)
+
+    @given(st.integers(1, 6), st.integers(1, 300), st.floats(0.0, 5.0), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_one_pool_calls(self, rows, m, epsilon_bias, seed):
+        losses = RngStream(seed).uniform(0, 30, (rows, m))
+        shift, beta = probability_shift(losses, epsilon_bias)
+        row_lse = logsumexp(-losses)
+        assert shift.shape == losses.shape and beta.shape == row_lse.shape == (rows,)
+        for r in range(rows):
+            one_shift, one_beta = probability_shift(losses[r], epsilon_bias)
+            np.testing.assert_array_equal(shift[r], one_shift)
+            assert beta[r] == one_beta and isinstance(one_beta, float)
+            assert row_lse[r] == logsumexp(-losses[r])
 
 
 def _rows(values, rows):
@@ -216,6 +245,32 @@ class TestEstimateForSample:
         assert seen == [(2, 4, (10, 8)), (2, 5, (1, 10)), (2, 2, (5, 4))]
         assert (1.0 <= est).all() and (est <= losses).all()
         assert est[-1] == 3.0
+
+    def test_no_self_vote_past_a_subnormal_weight(self, monkeypatch):
+        # 26.33's selection weight, ~1e-313, is positive but below
+        # RACE_MIN_WEIGHT, so its race key can be infinite: it is no
+        # candidate.  The four small losses see 3 candidates (k = 1), 26.33
+        # sees 4 (k = 2).  Counting it gave k = 2 throughout, and rows short
+        # of finite keys drew infinite-key columns, their own among them.
+        ds, losses = _cache_dataset([[0.1, 0.2, 0.3, 0.4, 26.33]])
+        drawn_weights, row_k = [], {}
+
+        def race_spy(u, w, count):
+            picked = _race_draw(u, w, count)
+            drawn_weights.append(np.take_along_axis(w, picked, axis=1))
+            return picked
+
+        def median_spy(own, selected, params, perm):
+            row_k.update(dict.fromkeys(own.tolist(), params.k))
+            return regroup_median(own, selected, params, perm)
+
+        monkeypatch.setattr(rml, "_race_draw", race_spy)
+        monkeypatch.setattr(rml, "regroup_median", median_spy)
+        for seed in range(20):
+            regroup_estimates(losses, ds, RegroupParams(n=2, k=20), RngStream(seed))
+        assert [row_k[l] for l in losses.tolist()] == [1, 1, 1, 1, 2]
+        # A row's own weight is 0, so no row drew itself.
+        assert all((w >= RACE_MIN_WEIGHT).all() for w in drawn_weights)
 
     def test_self_excluded_from_candidates(self):
         # Sample 0 is an outlier; with every other loss equal, any draw that

@@ -6,7 +6,13 @@ import pytest
 from rml_lab import rml
 from rml_lab.data import Dataset
 from rml_lab.numerics import RngStream, softmax
-from rml_lab.rml import LossCache, RegroupParams, regroup_median, selection_probabilities
+from rml_lab.rml import (
+    LossCache,
+    RegroupParams,
+    probability_shift,
+    regroup_median,
+    selection_probabilities,
+)
 from rml_lab.verify import (
     MomExperiment,
     Population,
@@ -19,7 +25,64 @@ from rml_lab.verify import (
 )
 
 
+def _reference_prop1(trials, m, rng, loss_range=(0.0, 30.0), epsilon_bias=1.0,
+                     tolerance=1e-9):
+    """check_prop1 one pool at a time, as the per-pool loop computed it: the
+    oracle for the chunked report."""
+    low, high = loss_range
+    max_residual = 0.0
+    beta_positive = True
+    sign_violations = 0
+    for t in range(trials):
+        losses = rng.child(t).uniform(low, high, m)
+        shift, beta = rml.probability_shift(losses, epsilon_bias)
+        closed = losses * (losses + epsilon_bias - 1.0) - beta
+        max_residual = max(max_residual, float(np.max(np.abs(shift - closed))))
+        beta_positive &= beta > 0
+        if epsilon_bias == 1.0:
+            crossing = losses ** 2 - beta
+            decided = np.abs(crossing) > 1e-12
+            sign_violations += int(np.sum(np.sign(shift[decided]) != np.sign(crossing[decided])))
+    return {
+        "check": "prop1",
+        "trials": trials,
+        "statistic": max_residual,
+        "bound": tolerance,
+        "pass": bool(max_residual < tolerance and beta_positive and sign_violations == 0),
+        "beta_always_positive": bool(beta_positive),
+        "sign_rule_violations": sign_violations,
+    }
+
+
 class TestCheckProp1:
+    @pytest.mark.parametrize("epsilon_bias", [1.0, 2.5])
+    @pytest.mark.parametrize("budget", [rml.BUDGET, 700], ids=["default", "small"])
+    def test_matches_per_pool_reference(self, budget, epsilon_bias, monkeypatch):
+        # At m = 100 the default budget takes 2 621 pools a chunk, so 3 000
+        # pools are two chunks; 700 takes 7, so 429 chunks, the last of 3.
+        monkeypatch.setattr(rml, "BUDGET", budget)
+        report = check_prop1(3000, 100, RngStream(0, 5), epsilon_bias=epsilon_bias)
+        assert report == _reference_prop1(3000, 100, RngStream(0, 5),
+                                          epsilon_bias=epsilon_bias)
+
+    def test_pools_are_rows_of_child_streams(self, monkeypatch):
+        # Pool t is rng.child(t)'s draw, bit for bit, and each chunk is one
+        # row-wise probability_shift call: a budget of 700 losses makes
+        # chunks of 7 pools, the last of 3.
+        monkeypatch.setattr(rml, "BUDGET", 700)
+        seen = []
+
+        def spy(losses, epsilon_bias):
+            seen.append(losses.copy())
+            return probability_shift(losses, epsilon_bias)
+
+        monkeypatch.setattr(rml, "probability_shift", spy)
+        check_prop1(45, 100, RngStream(0, 5))
+        assert [len(chunk) for chunk in seen] == [7] * 6 + [3]
+        np.testing.assert_array_equal(
+            np.concatenate(seen),
+            [RngStream(0, 5).child(t).uniform(0.0, 30.0, 100) for t in range(45)])
+
     def test_small_run_passes(self):
         report = check_prop1(500, 100, RngStream(0, 5))
         assert report["pass"]
