@@ -280,9 +280,7 @@ def cmd_train(config: ExperimentConfig, seed: int, out_dir) -> dict:
 
 def _cor1_report(seed: int) -> dict:
     """Train a small model on noisy blobs and check the clean-mass direction
-    on its end-of-run loss cache."""
-    from . import rml as rml_ops
-
+    on its end-of-run plain losses."""
     rng = RngStream(seed, STREAM_DATA)
     dataset = noise_ops.inject_symmetric(
         data_ops.make_blobs(4, 80, 4, 5.0, rng), 0.3, RngStream(seed, 2)
@@ -294,23 +292,23 @@ def _cor1_report(seed: int) -> dict:
     opt = model_ops.init_optimizer(model, 0.5, 30)
     config = RunConfig(mode="ce", total_epochs=30, batch_size=64, seed=seed)
     trainer.train_ce(dataset, model, opt, config)
-    cache = rml_ops.refresh_cache(rml_ops.empty_cache(dataset.n_samples), dataset,
-                                  model, RegroupParams(n=2, k=2),
-                                  RngStream(seed, trainer.STREAM_REFRESH))
-    return verify.check_cor1(dataset, cache)
+    losses = model_ops.per_sample_ce(model_ops.forward(model, dataset.features),
+                                     dataset.observed_labels)
+    return verify.check_cor1(dataset, losses)
+
+
+VERIFY_SUITES = ("prop1", "prop2", "cor1", "mom", "all")
 
 
 def cmd_verify(suite: str, seed: int, trials: int | None = None) -> dict:
+    if suite not in VERIFY_SUITES:
+        raise ValueError(f"verify: unknown suite {suite!r}; expected one of {VERIFY_SUITES}")
     rng = RngStream(seed, STREAM_VERIFY)
     reports = []
     if suite in ("prop1", "all"):
         reports.append(verify.check_prop1(10_000 if trials is None else trials, 100, rng.child(1)))
     if suite in ("prop2", "all"):
-        experiment = verify.MomExperiment(
-            base=verify.Population("normal", 1.0, 1.0),
-            n=6, k=10, epsilon_r=1.2, trials=100_000 if trials is None else trials,
-        )
-        reports.append(verify.check_prop2(experiment, rng.child(2)))
+        reports.append(verify.check_prop2(100_000 if trials is None else trials, rng.child(2)))
     if suite in ("mom", "all"):
         reports.append(verify.check_mom_robustness(seed=seed))
     if suite in ("cor1", "all"):
@@ -328,6 +326,8 @@ ABLATION_VARIANTS = {
 def cmd_ablate(config: ExperimentConfig, seeds: list[int], out_dir) -> dict:
     """Same data and seed, three regroup variants; final accuracies side by
     side plus per-variant means."""
+    if not seeds:
+        raise ValueError("ablate: need at least one seed")
     out = _out_dir(out_dir)
     results = {name: [] for name in ABLATION_VARIANTS}
     for seed in seeds:
@@ -364,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--out", default=None)
 
     ver = sub.add_parser("verify", help="run the statistical verification suite")
-    ver.add_argument("--suite", default="all",
-                     choices=["prop1", "prop2", "cor1", "mom", "all"])
+    ver.add_argument("--suite", default="all", choices=VERIFY_SUITES)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--trials", type=int, default=None)
     ver.add_argument("--out", default=None)

@@ -16,10 +16,12 @@ The selection rule lives here alone: the refresh draws by
 Loss bookkeeping follows the epoch cache discipline: plain losses and
 estimates are recomputed once per epoch, from the refresh's own full forward
 pass; each class's estimates take one race draw and one `regroup_median`
-call over rows of samples, each sample keeping its own keyed stream.  Inside
-an epoch the frozen cache is carried to each SGD step's plain losses by the
-scale l_new * (estimate/plain), clamped to l_new; the step's single forward
-pass supplies l_new, so weighting costs no extra forward.
+call over rows of samples, each sample keeping its own keyed stream.  The
+cache is plain data, the two loss arrays: the caller numbers its refreshes,
+and refresh `index` draws from `rng.child(index)`.  Inside an epoch the
+frozen cache is carried to each SGD step's plain losses by the scale
+l_new * (estimate/plain), clamped to l_new; the step's single forward pass
+supplies l_new, so weighting costs no extra forward.
 """
 
 from __future__ import annotations
@@ -76,11 +78,6 @@ class LossCache:
 
     loss: np.ndarray
     loss_rml: np.ndarray
-    epoch: int
-
-
-def empty_cache(n_samples: int) -> LossCache:
-    return LossCache(np.zeros(n_samples), np.zeros(n_samples), epoch=-1)
 
 
 def processed_loss(losses: np.ndarray, epsilon_bias: float) -> np.ndarray:
@@ -114,20 +111,18 @@ def selection_by_class(dataset: Dataset, losses: np.ndarray, epsilon_bias: float
     return out
 
 
-def probability_shift(losses, epsilon_bias: float = 1.0) -> tuple[np.ndarray, np.ndarray | float]:
+def probability_shift(losses, epsilon_bias: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample log-probability change caused by loss processing, with the
     pool constant beta = log(sum exp(-l) / sum exp(-processed)).
 
     The change equals l*(l + eps - 1) - beta; with eps = 1 it is l^2 - beta,
     so exactly the samples with l^2 > beta lose selection probability.
     Both probabilities are evaluated in log space.  Rows of pools, (rows, m),
-    give (rows, m) shifts and (rows,) betas; one pool gets a float beta.
+    give (rows, m) shifts and (rows,) betas; one pool gets an np.float64 beta.
     """
     l = np.asarray(losses, dtype=np.float64)
     proc = processed_loss(l, epsilon_bias)
-    shift = log_softmax(-l) - log_softmax(-proc)
-    beta = logsumexp(-l) - logsumexp(-proc)
-    return shift, (beta if l.ndim > 1 else float(beta))
+    return log_softmax(-l) - log_softmax(-proc), logsumexp(-l) - logsumexp(-proc)
 
 
 def regroup_median(own: np.ndarray, selected: np.ndarray, params: RegroupParams,
@@ -215,20 +210,18 @@ def regroup_estimates(losses: np.ndarray, dataset: Dataset, params: RegroupParam
     return estimates
 
 
-def refresh_cache(cache: LossCache, dataset: Dataset, model: "model_ops.ModelState",
+def refresh_cache(index: int, dataset: Dataset, model: "model_ops.ModelState",
                   params: RegroupParams, rng: RngStream) -> LossCache:
     """End-of-epoch rebuild: one full forward pass records plain losses, then
     every sample gets a fresh corrected regroup-median estimate.
 
-    The new cache's epoch is the refresh index, cache.epoch + 1; sample i
-    draws from rng.child(refresh index).child(i), so the rebuild is
-    reproducible and could run in any order.
+    `index` numbers the refresh; sample i draws from
+    rng.child(index).child(i), so the rebuild is reproducible and could run
+    in any order.
     """
     probs = model_ops.forward(model, dataset.features)
     fresh = model_ops.per_sample_ce(probs, dataset.observed_labels)
-    epoch = cache.epoch + 1
-    return LossCache(fresh, regroup_estimates(fresh, dataset, params, rng.child(epoch)),
-                     epoch)
+    return LossCache(fresh, regroup_estimates(fresh, dataset, params, rng.child(index)))
 
 
 def dump_cache(cache: LossCache, dataset: Dataset, path) -> None:

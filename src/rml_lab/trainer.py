@@ -1,20 +1,21 @@
-"""Training: one epoch loop (`_train`) with three modes.  `ce` is plain
-cross-entropy; `rml` weights each batch by the regroup-median loss cache
-after a CE warmup; `rml_semi` runs as `rml` up to common_epochs, then filters
-samples by teacher/student agreement and trains the unlabeled ones on the
-teacher's predicted class.  train_ce, train_rml and train_rml_semi are the
-entry points, one per mode.
+"""Training: one epoch loop (`_train`) with three modes, and one epoch
+function (`_epoch`) that makes every SGD step.  `ce` is plain cross-entropy;
+`rml` weights each batch by the regroup-median loss cache after a CE warmup;
+`rml_semi` runs as `rml` up to common_epochs, then filters samples by
+teacher/student agreement and trains the unlabeled ones on the teacher's
+predicted class.  train_ce, train_rml and train_rml_semi are the entry
+points, one per mode.
 
 The loop is deterministic under RunConfig.seed: batch shuffles and the
 semi-phase orderings run on derived streams keyed by epoch, cache refreshes
-on streams keyed by refresh index and sample, so a rerun reproduces metrics
-bit for bit.
+on streams keyed by refresh number and sample, so a rerun reproduces
+metrics bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -102,27 +103,33 @@ def _epoch_metrics(epoch: int, train_loss: float, dataset: Dataset, losses: np.n
                       noisy_loss, clean_p, noisy_p, float(labeled_fraction))
 
 
-def _batches(order: np.ndarray, batch_size: int):
-    for start in range(0, order.size, batch_size):
-        yield order[start:start + batch_size]
+def _epoch(dataset: Dataset, model: ModelState, teacher: ModelState | None,
+           opt: OptimizerState, config: RunConfig, epoch: int, rows: np.ndarray,
+           cache: rml.LossCache | None = None, pool: np.ndarray | None = None) -> float:
+    """One pass over shuffled mini-batches of `rows`: every SGD step of every
+    mode.  Returns the mean optimized batch loss.
 
-
-def _weighted_epoch(dataset: Dataset, model: ModelState, teacher: ModelState | None,
-                    opt: OptimizerState, config: RunConfig, epoch: int,
-                    cache: rml.LossCache | None) -> float:
-    """One pass over shuffled mini-batches; cache=None means plain CE.
-
-    Returns the mean optimized batch loss.  Each step makes one forward pass:
-    with a cache, `rml.batch_weights` carries its estimates to that pass's
-    plain losses.
+    With a cache, `rml.batch_weights` carries its estimates to each step's
+    plain losses.  A semi epoch passes the unlabeled `pool` (cache None):
+    each batch of observed labels gets as many partners, cycled through the
+    shuffled pool and labeled with the teacher's current argmax prediction.
+    The shuffles come from the phase's stream, keyed by epoch.
     """
-    shuffle = RngStream(config.seed, STREAM_SHUFFLE).child(epoch)
-    order = shuffle.permutation(dataset.n_samples)
+    stream_id = STREAM_SHUFFLE if pool is None else STREAM_SEMI
+    stream = RngStream(config.seed, stream_id).child(epoch)
+    order = rows[stream.permutation(rows.size)]
+    cycle = rows[:0] if pool is None else pool[stream.permutation(pool.size)]
     total, count = 0.0, 0
-    for batch in _batches(order, config.batch_size):
+    for pos in range(0, order.size, config.batch_size):
+        batch = order[pos:pos + config.batch_size]
+        y = dataset.observed_labels[batch]
         weigh = None if cache is None else partial(rml.batch_weights, cache, batch)
-        losses, grads = model_ops.loss_and_grad(model, dataset.features[batch],
-                                                dataset.observed_labels[batch], weigh)
+        if cycle.size:
+            partner = cycle[(pos + np.arange(batch.size)) % cycle.size]
+            guess = model_ops.forward(teacher, dataset.features[partner]).argmax(axis=1)
+            batch = np.concatenate([batch, partner])
+            y = np.concatenate([y, guess])
+        losses, grads = model_ops.loss_and_grad(model, dataset.features[batch], y, weigh)
         total += float(losses.mean())
         model_ops.sgd_step(model, opt, grads, epoch)
         if teacher is not None:
@@ -142,36 +149,6 @@ def separate(dataset: Dataset, student_probs: np.ndarray, teacher: ModelState):
     return idx[agree], idx[~agree]
 
 
-def _semi_epoch(dataset: Dataset, model: ModelState, teacher: ModelState,
-                opt: OptimizerState, config: RunConfig, epoch: int,
-                labeled: np.ndarray, unlabeled: np.ndarray) -> float:
-    """One pass over shuffled labeled batches; returns the mean batch loss.
-
-    Each step is plain CE on the labeled batch with its observed labels plus
-    an equal number of unlabeled partners, cycled through a shuffled pool and
-    labeled with the teacher's current argmax prediction.
-    """
-    ep_stream = RngStream(config.seed, STREAM_SEMI).child(epoch)
-    order = ep_stream.permutation(labeled.size)
-    if unlabeled.size:
-        cycle = unlabeled[ep_stream.permutation(unlabeled.size)]
-    total, count = 0.0, 0
-    for pos in range(0, labeled.size, config.batch_size):
-        batch = labeled[order[pos:pos + config.batch_size]]
-        y = dataset.observed_labels[batch]
-        if unlabeled.size:
-            partner = cycle[(pos + np.arange(batch.size)) % unlabeled.size]
-            guess = model_ops.forward(teacher, dataset.features[partner]).argmax(axis=1)
-            batch = np.concatenate([batch, partner])
-            y = np.concatenate([y, guess])
-        losses, grads = model_ops.loss_and_grad(model, dataset.features[batch], y)
-        model_ops.sgd_step(model, opt, grads, epoch)
-        model_ops.ema_update(teacher, model, config.ema_lambda)
-        total += float(losses.mean())
-        count += 1
-    return total / max(count, 1)
-
-
 def _train(mode: str, dataset: Dataset, model: ModelState, teacher: ModelState | None,
            opt: OptimizerState, config: RunConfig, test: Dataset | None) -> list[MetricsRow]:
     """The epoch loop behind the entry points; `mode` must be config.mode.
@@ -180,14 +157,16 @@ def _train(mode: str, dataset: Dataset, model: ModelState, teacher: ModelState |
     previous epoch.  A semi epoch reads it only when the agreement split
     labels nothing, so refreshes stop before the semi phase and that
     fallback refreshes on demand, keyed as the skipped end-of-epoch refresh.
-    `ce` runs without a teacher: no EMA and no cache.  The post-epoch model
-    is forwarded over the training set once: by the refresh when there is
-    one, else here, for the metrics and the next epoch's agreement split.
+    The refresh after epoch e is number e + 1 - warmup_epochs.  `ce` runs
+    without a teacher: no EMA and no cache.  The post-epoch model is
+    forwarded over the training set once: by the refresh when there is one,
+    else here, for the metrics and the next epoch's agreement split.
     """
     if config.mode != mode:
         raise ValueError(f"train_{mode}: config.mode is {config.mode!r}, not {mode!r}")
     refresh_stream = RngStream(config.seed, STREAM_REFRESH)
-    cache = rml.empty_cache(dataset.n_samples)
+    everyone = np.arange(dataset.n_samples)
+    cache = None
     # First semi epoch; `rml` never reaches it, so it keeps the refresh after
     # its last epoch.
     semi_from = config.common_epochs if mode == "rml_semi" else config.total_epochs + 1
@@ -200,21 +179,20 @@ def _train(mode: str, dataset: Dataset, model: ModelState, teacher: ModelState |
             labeled, unlabeled = separate(dataset, probs, teacher)
             labeled_fraction = labeled.size / dataset.n_samples
             if labeled.size:
-                train_loss = _semi_epoch(dataset, model, teacher, opt, config, epoch,
-                                         labeled, unlabeled)
+                train_loss = _epoch(dataset, model, teacher, opt, config, epoch, labeled,
+                                    pool=unlabeled)
             else:
                 # Nothing labeled: a weighted epoch, from the refresh skipped
                 # after epoch - 1 (the model has not moved since).
-                skipped = replace(cache, epoch=epoch - config.warmup_epochs - 1)
-                cache = rml.refresh_cache(skipped, dataset, model, config.regroup,
-                                          refresh_stream)
-                train_loss = _weighted_epoch(dataset, model, teacher, opt, config,
-                                             epoch, cache)
+                cache = rml.refresh_cache(epoch - config.warmup_epochs, dataset, model,
+                                          config.regroup, refresh_stream)
+                train_loss = _epoch(dataset, model, teacher, opt, config, epoch, everyone,
+                                    cache)
         else:
-            active = cache if teacher is not None and epoch >= config.warmup_epochs else None
-            train_loss = _weighted_epoch(dataset, model, teacher, opt, config, epoch, active)
+            train_loss = _epoch(dataset, model, teacher, opt, config, epoch, everyone, cache)
         if teacher is not None and config.warmup_epochs <= epoch + 1 < semi_from:
-            cache = rml.refresh_cache(cache, dataset, model, config.regroup, refresh_stream)
+            cache = rml.refresh_cache(epoch + 1 - config.warmup_epochs, dataset, model,
+                                      config.regroup, refresh_stream)
             losses = cache.loss
         else:
             probs = model_ops.forward(model, dataset.features)
@@ -241,7 +219,7 @@ def train_rml_semi(dataset: Dataset, model: ModelState, teacher: ModelState,
                    opt: OptimizerState, config: RunConfig, test: Dataset | None = None):
     """Common training up to common_epochs; after that, each epoch separates
     the samples by student/teacher agreement and trains on the labeled set
-    plus teacher-labeled unlabeled partners (see _semi_epoch)."""
+    plus teacher-labeled unlabeled partners (see _epoch)."""
     return model, teacher, _train("rml_semi", dataset, model, teacher, opt, config, test)
 
 

@@ -11,7 +11,7 @@ Checks covered:
     mass on truly clean samples once noisy losses exceed clean ones.
 
 Each runs the training path's own `rml` kernel on rows: of pools (prop1),
-of draws (prop2, mom), or of a cache's samples by class (cor1).
+of draws (prop2, mom), or of a model's losses by class (cor1).
 
 Every check returns a JSON-ready report dict: {check, trials, statistic,
 bound, pass, ...extras}.
@@ -20,7 +20,6 @@ bound, pass, ...extras}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,47 +27,6 @@ from . import rml
 from .data import Dataset
 from .noise import corruption_mask
 from .numerics import RngStream, child_generator_pool
-
-
-@dataclass
-class Population:
-    """Scalar loss population: "normal"(loc, scale) or "point"(loc)."""
-
-    kind: str = "normal"
-    loc: float = 0.0
-    scale: float = 1.0
-
-    def sample(self, rng: RngStream, size: int) -> np.ndarray:
-        if self.kind == "point":
-            return np.full(size, self.loc)
-        if self.kind == "normal":
-            return rng.normal(self.loc, self.scale, size)
-        raise ValueError(f"Population: unknown kind {self.kind!r}")
-
-    def mean(self) -> float:
-        return self.loc
-
-    def var(self) -> float:
-        return 0.0 if self.kind == "point" else self.scale ** 2
-
-
-@dataclass
-class MomExperiment:
-    """Group-median deviation experiment on a loss population.  epsilon_r is
-    the deviation radius being tested, distinct from the loss-processing
-    bias."""
-
-    base: Population
-    n: int = 6
-    k: int = 10
-    epsilon_r: float = 1.0
-    trials: int = 100_000
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("MomExperiment: trials must be >= 1")
-        if self.epsilon_r <= 0:
-            raise ValueError("MomExperiment: epsilon_r must be > 0")
 
 
 def deviation_bound(n: int, k: int, variance: float, epsilon_r: float) -> tuple[float, float]:
@@ -138,35 +96,42 @@ def mom_estimate(samples: np.ndarray, n: int, k: int, rng: RngStream) -> np.ndar
     return rml.regroup_median(values[:, -1], values[:, :-1], rml.RegroupParams(n=n, k=k), perm)
 
 
-def check_prop2(experiment: MomExperiment, rng: RngStream) -> dict:
-    """Monte Carlo exceedance rate of the regroup-median estimate against the
-    analytic tail bound.  One-sided: the bound is loose by construction, so
-    acceptance is rate <= bound + 3 binomial standard errors.  Vacuous-bound
+def check_prop2(trials: int, rng: RngStream, n: int = 6, k: int = 10,
+                epsilon_r: float = 1.2, loc: float = 1.0, scale: float = 1.0) -> dict:
+    """Monte Carlo exceedance rate of the regroup-median estimate of a
+    normal(loc, scale) loss population against the analytic tail bound;
+    epsilon_r is the deviation radius being tested, distinct from the
+    loss-processing bias, and scale=0 makes the population a point mass.
+    One-sided: the bound is loose by construction, so acceptance is
+    rate <= bound + 3 binomial standard errors.  Vacuous-bound
     configurations are reported, not failed.  Trials are rows, in chunks of
     at most rml.BUDGET draws; chunk c draws from rng.child(c)."""
-    mu = experiment.base.mean()
-    var = experiment.base.var()
-    bound, margin = deviation_bound(experiment.n, experiment.k, var, experiment.epsilon_r)
+    if trials < 1:
+        raise ValueError("check_prop2: trials must be >= 1")
+    if epsilon_r <= 0:
+        raise ValueError("check_prop2: epsilon_r must be > 0")
+    var = scale ** 2
+    bound, margin = deviation_bound(n, k, var, epsilon_r)
     vacuous = margin <= 0
-    draw = experiment.n * experiment.k + 1
+    draw = n * k + 1
     step = max(1, rml.BUDGET // draw)
     exceed = 0
-    for chunk, start in enumerate(range(0, experiment.trials, step)):
+    for chunk, start in enumerate(range(0, trials, step)):
         tr = rng.child(chunk)
-        values = experiment.base.sample(tr, (min(step, experiment.trials - start), draw))
-        estimates = mom_estimate(values, experiment.n, experiment.k, tr)
-        exceed += int(np.count_nonzero(np.abs(estimates - mu) > experiment.epsilon_r))
-    rate = exceed / experiment.trials
-    stderr = math.sqrt(max(rate * (1 - rate), 0.0) / experiment.trials)
+        values = tr.normal(loc, scale, (min(step, trials - start), draw))
+        estimates = mom_estimate(values, n, k, tr)
+        exceed += int(np.count_nonzero(np.abs(estimates - loc) > epsilon_r))
+    rate = exceed / trials
+    stderr = math.sqrt(max(rate * (1 - rate), 0.0) / trials)
     return {
         "check": "prop2",
-        "trials": experiment.trials,
+        "trials": trials,
         "statistic": rate,
         "bound": bound,
         "pass": True if vacuous else bool(rate <= bound + 3 * stderr),
         "vacuous": vacuous,
         "margin": margin,
-        "population_mean": mu,
+        "population_mean": loc,
         "population_var": var,
     }
 
@@ -217,13 +182,12 @@ def check_mom_robustness(ns: tuple[int, ...] = (2, 4, 6),
     }
 
 
-def check_cor1(dataset: Dataset, cache: rml.LossCache,
-               epsilon_bias: float = 1.0) -> dict:
-    """Aggregate selection mass on truly clean samples, with and without loss
-    processing.  Under the separation premise (noisy mean loss above clean
-    mean loss), processing must not lose clean mass."""
+def check_cor1(dataset: Dataset, losses: np.ndarray, epsilon_bias: float = 1.0) -> dict:
+    """Aggregate selection mass on truly clean samples, with and without
+    processing the plain per-sample `losses`.  Under the separation premise
+    (noisy mean loss above clean mean loss), processing must not lose clean
+    mass."""
     mask = corruption_mask(dataset)
-    losses = cache.loss
     plain = rml.selection_by_class(dataset, losses, epsilon_bias, processed=False)
     processed = rml.selection_by_class(dataset, losses, epsilon_bias)
     plain_mass = []

@@ -29,7 +29,7 @@ from rml_lab.noise import corruption_mask, inject_pairflip, inject_symmetric
 from rml_lab.numerics import RngStream, softmax
 from rml_lab.rml import RegroupParams, selection_probabilities
 from rml_lab.trainer import RunConfig, train_ce, train_rml, train_rml_semi
-from rml_lab.verify import MomExperiment, Population, check_mom_robustness, check_prop1, check_prop2
+from rml_lab.verify import check_mom_robustness, check_prop1, check_prop2
 from rml_lab import model as model_ops
 
 # Scaled benchmark: 10 classes x 500, 40% symmetric train noise, mlp(256),
@@ -143,9 +143,8 @@ def test_criterion_3_median_contamination_containment():
 
 def test_criterion_4_deviation_bound():
     started = time.time()
-    experiment = MomExperiment(base=Population("normal", 1.0, 1.0),
-                               n=6, k=10, epsilon_r=1.2, trials=100_000)
-    report = check_prop2(experiment, RngStream(2, 5))
+    report = check_prop2(100_000, RngStream(2, 5), n=6, k=10, epsilon_r=1.2,
+                         loc=1.0, scale=1.0)
     elapsed = time.time() - started
     assert report["margin"] > 0.1
     assert report["pass"] and not report["vacuous"]

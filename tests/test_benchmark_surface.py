@@ -1,11 +1,13 @@
 """The benchmark under `perfbench/` calls into the program from outside this
 suite: its traced run wraps the functions named in `spans.py`'s LAYERS, and
-`checks.py` calls `rml.probability_shift` on one pool at a time.  A rename,
-deletion or changed signature would break benchmark runs; these tests fail
-first instead."""
+`checks.py` calls `rml.probability_shift` on one pool at a time, and its
+refresh check unpacks `rml.refresh_cache`'s call arguments 1 and 2 as the
+dataset and the model.  A rename, deletion or changed signature would break
+benchmark runs; these tests fail first instead."""
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -39,3 +41,8 @@ def test_prop1_check_accepts_the_program_shift(monkeypatch):
     checks = _load("checks", monkeypatch)
     checks.check_prop1(check_prop1(200, 100, RngStream(0, 5)), rml.probability_shift,
                        np.random.default_rng(0))
+
+
+def test_refresh_cache_takes_dataset_and_model_second_and_third():
+    names = list(inspect.signature(rml.refresh_cache).parameters)
+    assert names[1:3] == ["dataset", "model"]

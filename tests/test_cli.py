@@ -262,6 +262,10 @@ class TestCmdVerify:
         assert checks == ["prop1", "prop2", "mom", "cor1"]
         assert report["pass"] == all(r["pass"] for r in report["reports"])
 
+    def test_unknown_suite_rejected(self):
+        with pytest.raises(ValueError, match="'bogus'"):
+            cmd_verify("bogus", seed=0)
+
 
 class TestCmdAblate:
     def test_variants_reported(self, tmp_path):
@@ -277,6 +281,12 @@ class TestCmdAblate:
         a = cmd_ablate(config, seeds=[7], out_dir=tmp_path / "a")
         b = cmd_ablate(config, seeds=[7], out_dir=tmp_path / "b")
         assert a == b
+
+    def test_no_seeds_rejected_before_output(self, tmp_path):
+        config = ExperimentConfig.from_dict(base_config())
+        with pytest.raises(ValueError, match="at least one seed"):
+            cmd_ablate(config, seeds=[], out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestMainEntry:
@@ -316,6 +326,14 @@ class TestMainEntry:
         assert set(out) == {"full", "no_processing", "no_median"}
         lines = (tmp_path / "out" / "ablation.csv").read_text().splitlines()
         assert {line.split(",")[1] for line in lines[1:]} == {"5", "6", "mean"}
+
+    def test_ablate_zero_seeds_fails_and_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config()))
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", str(path), "--seeds", "0", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert not out.exists()
 
     def test_missing_config_is_machine_readable_error(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 1

@@ -16,7 +16,6 @@ from rml_lab.rml import (
     RegroupParams,
     batch_weights,
     dump_cache,
-    empty_cache,
     probability_shift,
     processed_loss,
     refresh_cache,
@@ -336,19 +335,19 @@ class TestCacheUpdates:
     training runs: batch_weights and the refresh's estimator."""
 
     def test_propagate_arithmetic(self):
-        cache = LossCache(np.array([4.0]), np.array([1.0]), epoch=0)
+        cache = LossCache(np.array([4.0]), np.array([1.0]))
         w = batch_weights(cache, np.array([0]), np.array([2.0]))
         assert w[0] * 2.0 == pytest.approx(0.5)
 
     def test_propagate_identity_ratio(self):
-        cache = LossCache(np.array([3.0]), np.array([3.0]), epoch=0)
+        cache = LossCache(np.array([3.0]), np.array([3.0]))
         w = batch_weights(cache, np.array([0]), np.array([1.7]))
         assert w[0] * 1.7 == pytest.approx(1.7)
 
     def test_propagate_zero_floor(self):
         # A zero prior loss hits the floor: 0.5 / 1e-12 scales the fresh loss
         # far up, and the clamp brings it back to the fresh loss.
-        cache = LossCache(np.array([0.0]), np.array([0.5]), epoch=0)
+        cache = LossCache(np.array([0.0]), np.array([0.5]))
         w = batch_weights(cache, np.array([0]), np.array([1.0]))
         assert w[0] == 1.0
 
@@ -372,12 +371,12 @@ class TestCacheUpdates:
 
 class TestBatchWeights:
     def test_identity_when_estimates_match(self):
-        cache = LossCache(np.array([1.0, 2.0]), np.array([1.0, 2.0]), epoch=0)
+        cache = LossCache(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
         w = batch_weights(cache, np.array([0, 1]), np.array([0.5, 3.0]))
         np.testing.assert_allclose(w, 1.0)
 
     def test_zero_estimate_silences(self):
-        cache = LossCache(np.array([1.0]), np.array([0.0]), epoch=0)
+        cache = LossCache(np.array([1.0]), np.array([0.0]))
         w = batch_weights(cache, np.array([0]), np.array([2.0]))
         assert w[0] == 0.0
 
@@ -390,7 +389,7 @@ class TestBatchWeights:
         # Each row: prior plain loss, estimate as a share of it, fresh loss.
         loss_prev, share, fresh = (np.array(col) for col in zip(*rows))
         est_prev = share * np.maximum(loss_prev, 0.5)
-        cache = LossCache(loss_prev, est_prev, epoch=0)
+        cache = LossCache(loss_prev, est_prev)
         w = batch_weights(cache, np.arange(fresh.size), fresh)
         propagated = fresh * est_prev / np.maximum(loss_prev, 1e-12)
         corrected = np.minimum(propagated, fresh)
@@ -411,20 +410,23 @@ def _trained_noisy_setup(seed=0, noise=0.4, separation=5.0, epochs=60, lr=0.5):
 
 
 class TestRefreshCache:
-    def test_epoch_increments(self):
+    def test_index_keys_the_stream(self):
+        # Refresh `index` draws from rng.child(index): refreshes 0 and 1 of
+        # one model share the plain losses but not the estimates.
         ds, model = _trained_noisy_setup(noise=0.0)
-        cache = empty_cache(ds.n_samples)
-        out = refresh_cache(cache, ds, model, RegroupParams(n=2, k=5), RngStream(0, 12))
-        assert out.epoch == 0
-        again = refresh_cache(out, ds, model, RegroupParams(n=2, k=5), RngStream(0, 12))
-        assert again.epoch == 1
+        params, rng = RegroupParams(n=2, k=5), RngStream(0, 12)
+        first = refresh_cache(0, ds, model, params, rng)
+        second = refresh_cache(1, ds, model, params, rng)
+        np.testing.assert_array_equal(first.loss, second.loss)
+        for index, cache in enumerate((first, second)):
+            np.testing.assert_array_equal(
+                cache.loss_rml, regroup_estimates(cache.loss, ds, params, rng.child(index)))
+        assert not np.array_equal(first.loss_rml, second.loss_rml)
 
     def test_deterministic(self):
         ds, model = _trained_noisy_setup(seed=1)
-        a = refresh_cache(empty_cache(ds.n_samples), ds, model,
-                          RegroupParams(n=2, k=5), RngStream(1, 12))
-        b = refresh_cache(empty_cache(ds.n_samples), ds, model,
-                          RegroupParams(n=2, k=5), RngStream(1, 12))
+        a = refresh_cache(0, ds, model, RegroupParams(n=2, k=5), RngStream(1, 12))
+        b = refresh_cache(0, ds, model, RegroupParams(n=2, k=5), RngStream(1, 12))
         np.testing.assert_array_equal(a.loss_rml, b.loss_rml)
 
     def test_clean_trained_model_estimates_track_losses(self):
@@ -435,14 +437,12 @@ class TestRefreshCache:
         from rml_lab.model import accuracy
 
         assert accuracy(model, ds) == 1.0
-        cache = refresh_cache(empty_cache(ds.n_samples), ds, model,
-                              RegroupParams(n=2, k=5), RngStream(2, 12))
+        cache = refresh_cache(0, ds, model, RegroupParams(n=2, k=5), RngStream(2, 12))
         assert abs(cache.loss_rml.mean() - cache.loss.mean()) <= 0.05 * cache.loss.mean()
 
     def test_correction_bound_holds_everywhere(self):
         ds, model = _trained_noisy_setup(seed=3)
-        cache = refresh_cache(empty_cache(ds.n_samples), ds, model,
-                              RegroupParams(n=4, k=3), RngStream(3, 12))
+        cache = refresh_cache(0, ds, model, RegroupParams(n=4, k=3), RngStream(3, 12))
         assert (cache.loss_rml <= cache.loss + 1e-15).all()
         assert (cache.loss_rml >= 0).all()
 
@@ -450,8 +450,7 @@ class TestRefreshCache:
 class TestDumpCache:
     def test_csv_columns_and_rows(self, tmp_path):
         ds, model = _trained_noisy_setup(seed=4)
-        cache = refresh_cache(empty_cache(ds.n_samples), ds, model,
-                              RegroupParams(n=2, k=3), RngStream(4, 12))
+        cache = refresh_cache(0, ds, model, RegroupParams(n=2, k=3), RngStream(4, 12))
         path = tmp_path / "cache.csv"
         dump_cache(cache, ds, path)
         lines = path.read_text().strip().splitlines()

@@ -5,7 +5,7 @@ from rml_lab.data import feature_stats, make_blobs, split, standardize
 from rml_lab.model import accuracy, init_model, init_optimizer
 from rml_lab.noise import corruption_mask, inject_symmetric
 from rml_lab.numerics import RngStream
-from rml_lab.rml import LossCache, RegroupParams, empty_cache, refresh_cache
+from rml_lab.rml import RegroupParams, refresh_cache
 from dataclasses import asdict
 
 from rml_lab import model as model_ops
@@ -261,13 +261,13 @@ class TestTrainRmlSemi:
 
 
 def _spy_refreshes(monkeypatch):
-    """Record every cache refresh made by the training loop."""
+    """Record the number of every cache refresh made by the training loop."""
     made = []
     real = rml.refresh_cache
 
-    def spy(cache, dataset, model, params, rng):
-        made.append(real(cache, dataset, model, params, rng))
-        return made[-1]
+    def spy(index, dataset, model, params, rng):
+        made.append(index)
+        return real(index, dataset, model, params, rng)
 
     monkeypatch.setattr(rml, "refresh_cache", spy)
     return made
@@ -281,7 +281,7 @@ class TestRefreshSchedule:
                            seed=15, regroup=RegroupParams(n=2, k=3))
         student, teacher = _fresh_models(train, seed=15)
         train_rml(train, student, teacher, init_optimizer(student, 0.3, 6), config, test)
-        assert [c.epoch for c in made] == list(range(6 - 2 + 1))
+        assert made == [0, 1, 2, 3, 4]
 
     def test_semi_phase_makes_no_refresh(self, monkeypatch):
         made = _spy_refreshes(monkeypatch)
@@ -293,7 +293,7 @@ class TestRefreshSchedule:
         _, _, rows = train_rml_semi(train, student, teacher,
                                     init_optimizer(student, 0.3, 10), config, test)
         assert all(r.labeled_fraction > 0 for r in rows[6:])
-        assert [c.epoch for c in made] == list(range(6 - 2))
+        assert made == [0, 1, 2, 3]
 
     def test_empty_split_trains_weighted_from_current_losses(self, monkeypatch):
         # separate labels nothing in semi epochs 7 and 8: those epochs train
@@ -304,7 +304,7 @@ class TestRefreshSchedule:
         config = RunConfig(mode="rml_semi", total_epochs=10, common_epochs=6,
                            batch_size=32, warmup_epochs=2, seed=16,
                            regroup=RegroupParams(n=2, k=3))
-        real_separate, real_weighted = trainer.separate, trainer._weighted_epoch
+        real_separate, real_epoch = trainer.separate, trainer._epoch
         weighted = {}
 
         def forced_separate(dataset, student_probs, t):
@@ -316,26 +316,28 @@ class TestRefreshSchedule:
 
         forced_separate.calls = 0
 
-        def spy_weighted(dataset, model, teacher, opt, cfg, epoch, cache):
-            if epoch >= config.common_epochs:
+        def spy_epoch(dataset, model, teacher, opt, cfg, epoch, rows, cache=None, pool=None):
+            if epoch >= config.common_epochs and cache is not None:
+                assert pool is None
+                np.testing.assert_array_equal(rows, np.arange(dataset.n_samples))
                 plain = model_ops.per_sample_ce(model_ops.forward(model, dataset.features),
                                                 dataset.observed_labels)
                 np.testing.assert_array_equal(cache.loss, plain)
-                expected = refresh_cache(
-                    LossCache(cache.loss, cache.loss_rml, epoch - config.warmup_epochs - 1),
-                    dataset, model, config.regroup, RngStream(16, trainer.STREAM_REFRESH))
+                index = made[-1]
+                expected = refresh_cache(index, dataset, model, config.regroup,
+                                         RngStream(16, trainer.STREAM_REFRESH))
                 np.testing.assert_array_equal(cache.loss_rml, expected.loss_rml)
-                weighted[epoch] = cache.epoch
-            return real_weighted(dataset, model, teacher, opt, cfg, epoch, cache)
+                weighted[epoch] = index
+            return real_epoch(dataset, model, teacher, opt, cfg, epoch, rows, cache, pool)
 
         monkeypatch.setattr(trainer, "separate", forced_separate)
-        monkeypatch.setattr(trainer, "_weighted_epoch", spy_weighted)
+        monkeypatch.setattr(trainer, "_epoch", spy_epoch)
         student, teacher = _fresh_models(train, seed=16)
         _, _, rows = train_rml_semi(train, student, teacher,
                                     init_optimizer(student, 0.3, 10), config, test)
         assert weighted == {7: 7 - 2, 8: 8 - 2}
         assert [r.labeled_fraction for r in rows[7:9]] == [0.0, 0.0]
-        assert len(made) == 6 - 2 + 2
+        assert made == [0, 1, 2, 3, 5, 6]
 
 
 class TestSingleForward:

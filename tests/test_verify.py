@@ -7,15 +7,12 @@ from rml_lab import rml
 from rml_lab.data import Dataset
 from rml_lab.numerics import RngStream, softmax
 from rml_lab.rml import (
-    LossCache,
     RegroupParams,
     probability_shift,
     regroup_median,
     selection_probabilities,
 )
 from rml_lab.verify import (
-    MomExperiment,
-    Population,
     check_cor1,
     check_mom_robustness,
     check_prop1,
@@ -141,36 +138,35 @@ class TestDeviationBound:
 class TestCheckProp2:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            check_prop2(MomExperiment(base=Population("normal", 1.0, 1.0), trials=0),
-                        RngStream(0, 6))
+            check_prop2(0, RngStream(0, 6))
+
+    def test_nonpositive_radius_rejected(self):
+        with pytest.raises(ValueError, match="epsilon_r must be > 0"):
+            check_prop2(10, RngStream(0, 6), epsilon_r=0.0)
 
     def test_point_mass_population(self):
-        exp = MomExperiment(base=Population("point", 1.0), n=6, k=10,
-                            epsilon_r=1.0, trials=2000)
-        report = check_prop2(exp, RngStream(5, 9))
+        report = check_prop2(2000, RngStream(5, 9), n=6, k=10, epsilon_r=1.0,
+                             loc=1.0, scale=0.0)
         assert report["statistic"] == 0.0
         assert report["bound"] == pytest.approx(math.exp(-2 * 7 * 0.25))
         assert report["pass"]
 
     def test_normal_population_within_bound(self):
-        exp = MomExperiment(base=Population("normal", 1.0, 1.0), n=6, k=10,
-                            epsilon_r=2.0, trials=20_000)
-        report = check_prop2(exp, RngStream(6, 9))
+        report = check_prop2(20_000, RngStream(6, 9), n=6, k=10, epsilon_r=2.0,
+                             loc=1.0, scale=1.0)
         assert report["pass"]
         assert report["statistic"] <= report["bound"]
 
     def test_vacuous_configuration_reported(self):
-        exp = MomExperiment(base=Population("normal", 0.0, 10.0), n=2, k=1,
-                            epsilon_r=0.5, trials=10)
-        report = check_prop2(exp, RngStream(7, 9))
+        report = check_prop2(10, RngStream(7, 9), n=2, k=1, epsilon_r=0.5,
+                             loc=0.0, scale=10.0)
         assert report["vacuous"] and report["pass"]
 
     def test_exceedance_rate_non_increasing_in_n(self):
         rates = []
         for n in (2, 4, 6, 8):
-            exp = MomExperiment(base=Population("normal", 0.0, 1.0), n=n, k=2,
-                                epsilon_r=0.9, trials=20_000)
-            report = check_prop2(exp, RngStream(8, 9))
+            report = check_prop2(20_000, RngStream(8, 9), n=n, k=2, epsilon_r=0.9,
+                                 loc=0.0, scale=1.0)
             rates.append(report["statistic"])
         slack = 2 * math.sqrt(0.25 / 20_000)
         assert all(rates[i + 1] <= rates[i] + slack for i in range(len(rates) - 1))
@@ -179,13 +175,12 @@ class TestCheckProp2:
         # Two of the seven median inputs arbitrarily far out; a tight base
         # around 1.0 keeps the estimate within 0.5 of the base mean.
         rng = RngStream(9, 9)
-        base = Population("normal", 1.0, 0.1)
         trials = 5000
-        values = np.concatenate([base.sample(rng, (trials, 5)),
+        values = np.concatenate([rng.normal(1.0, 0.1, (trials, 5)),
                                  np.tile([1e9, -1e9], (trials, 1))], axis=1)
         values = np.take_along_axis(values, np.argsort(rng.random((trials, 7)), axis=1), axis=1)
         estimate = mom_estimate(values, 6, 1, rng)
-        assert np.mean(np.abs(estimate - base.mean()) <= 0.5) >= 0.99
+        assert np.mean(np.abs(estimate - 1.0) <= 0.5) >= 0.99
 
 
 class TestMomRobustness:
@@ -209,20 +204,20 @@ class TestMomRobustness:
         assert sum(s[2] for s in seen) == report["trials"] == 2 * (3 * 2 + 5 * 2 + 10 * 4)
 
 
-def _separated_cache():
+def _separated_losses():
     # Class 0: members 0..5 clean (loss 0.5) and 6..9 noisy (loss 3.0).
     labels = np.zeros(10, dtype=np.int64)
     truth = labels.copy()
     truth[6:] = 1
     ds = Dataset(np.zeros((10, 1)), labels, 2, true_labels=truth)
     loss = np.concatenate([np.full(6, 0.5), np.full(4, 3.0)])
-    return ds, LossCache(loss=loss, loss_rml=loss.copy(), epoch=0)
+    return ds, loss
 
 
 class TestCheckCor1:
     def test_separated_losses_gain_clean_mass(self):
-        ds, cache = _separated_cache()
-        report = check_cor1(ds, cache)
+        ds, loss = _separated_losses()
+        report = check_cor1(ds, loss)
         assert report["premise_holds"]
         assert report["clean_mass_processed"] > report["clean_mass_plain"]
         assert report["pass"]
@@ -233,15 +228,14 @@ class TestCheckCor1:
         truth[4:] = 1
         ds = Dataset(np.zeros((8, 1)), labels, 2, true_labels=truth)
         loss = np.full(8, 1.7)
-        report = check_cor1(ds, LossCache(loss, loss.copy(), 0))
+        report = check_cor1(ds, loss)
         assert report["clean_mass_processed"] == pytest.approx(report["clean_mass_plain"])
         assert report["pass"]
 
     def test_trained_cache_direction(self):
         from rml_lab.data import feature_stats, make_blobs, standardize
-        from rml_lab.model import init_model, init_optimizer
+        from rml_lab.model import forward, init_model, init_optimizer, per_sample_ce
         from rml_lab.noise import inject_symmetric
-        from rml_lab.rml import empty_cache, refresh_cache
         from rml_lab.trainer import RunConfig, train_ce
 
         ds = make_blobs(5, 60, 4, 5.0, RngStream(10))
@@ -252,8 +246,6 @@ class TestCheckCor1:
         opt = init_optimizer(model, 0.5, 40)
         model, _ = train_ce(ds, model, opt,
                             RunConfig(mode="ce", total_epochs=40, batch_size=64, seed=10))
-        cache = refresh_cache(empty_cache(ds.n_samples), ds, model,
-                              RegroupParams(n=2, k=5), RngStream(10, 12))
-        report = check_cor1(ds, cache)
+        report = check_cor1(ds, per_sample_ce(forward(model, ds.features), ds.observed_labels))
         assert report["premise_holds"]
         assert report["pass"]
