@@ -303,6 +303,10 @@ VERIFY_SUITES = ("prop1", "prop2", "cor1", "mom", "all")
 def cmd_verify(suite: str, seed: int, trials: int | None = None) -> dict:
     if suite not in VERIFY_SUITES:
         raise ValueError(f"verify: unknown suite {suite!r}; expected one of {VERIFY_SUITES}")
+    if trials is not None and trials < 1:
+        raise ValueError(f"verify: trials must be >= 1, got {trials}")
+    if trials is not None and suite in ("mom", "cor1"):
+        raise ValueError(f"verify: suite {suite!r} takes no trials")
     rng = RngStream(seed, STREAM_VERIFY)
     reports = []
     if suite in ("prop1", "all"):

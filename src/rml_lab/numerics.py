@@ -159,10 +159,10 @@ def _race_draw(u: np.ndarray, w: np.ndarray, count: int) -> np.ndarray:
 
     Exponential-race keys, equivalent to successive draws with
     renormalization: column j gets key -log(u_j)/w_j and the row's smallest
-    `count` keys win, in key order.  Trusts its inputs: u and w are (rows,
-    m), w finite and >= 0 with at least `count` entries per row at or above
-    RACE_MIN_WEIGHT, the entries whose keys are finite for every nonzero u.
-    Smaller weights, zero included, can get tied infinite keys.
+    `count` keys win, in key order.  Trusts its inputs: u is (rows, m), w is
+    (rows, m) or (1, m) for all rows, finite and >= 0, and each row has at
+    least `count` columns with u > 0 and w >= RACE_MIN_WEIGHT, whose keys are
+    finite.  A zero u or a smaller w, zero included, gives an infinite key.
     """
     with np.errstate(divide="ignore", over="ignore"):
         keys = -np.log(u) / w

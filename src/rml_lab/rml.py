@@ -16,7 +16,7 @@ The selection rule lives here alone: the refresh draws by
 Loss bookkeeping follows the epoch cache discipline: plain losses and
 estimates are recomputed once per epoch, from the refresh's own full forward
 pass; each class's estimates take one race draw and one `regroup_median`
-call over rows of samples, each sample keeping its own keyed stream.  The
+call over rows of samples, drawn from two keyed streams of the class.  The
 cache is plain data, the two loss arrays: the caller numbers its refreshes,
 and refresh `index` draws from `rng.child(index)`.  Inside an epoch the
 frozen cache is carried to each SGD step's plain losses by the scale
@@ -37,7 +37,6 @@ from .numerics import (
     RACE_MIN_WEIGHT,
     RngStream,
     _race_draw,
-    child_generator_pool,
     log_softmax,
     logsumexp,
     softmax,
@@ -167,23 +166,22 @@ def regroup_estimates(losses: np.ndarray, dataset: Dataset, params: RegroupParam
     sample itself is excluded so it cannot vote for its own loss.  When the
     candidates cannot fill n groups of k, k shrinks; when they cannot fill n
     groups of one (a singleton class included), the estimate is the sample's
-    own loss.  Every estimate is clamped to the plain loss.  Sample i draws
-    only from `rng.child(i)`, so the result does not depend on the batching
-    of rows.
+    own loss.  Every estimate is clamped to the plain loss.  Class c of
+    `dataset.class_index` draws race uniforms from rng.child(2c) and regroup
+    keys from rng.child(2c + 1), in row order (k ascending, then sample), so
+    neither chunking nor another class's losses change its draws.
     """
     losses = np.asarray(losses, dtype=np.float64)
     estimates = losses.copy()
     # The race needs weights only up to a constant: the class softmax will do.
     selection = selection_by_class(dataset, losses, params.epsilon_bias,
                                    params.use_processed_loss)
-    # Re-keyed generator pool: bit-identical to rng.child(i) but without a
-    # fresh BitGenerator object per sample.
-    fetch = child_generator_pool(rng)
     n = params.n
-    for members in dataset.class_index:
+    for c, members in enumerate(dataset.class_index):
         m = members.size
         if m <= 1:
             continue
+        race, regroup = rng.child(2 * c).generator, rng.child(2 * c + 1).generator
         class_losses = losses[members]
         weights = selection[members]
         available = weights >= RACE_MIN_WEIGHT
@@ -195,15 +193,11 @@ def regroup_estimates(losses: np.ndarray, dataset: Dataset, params: RegroupParam
             group = np.flatnonzero(row_k == k)
             for start in range(0, group.size, step):
                 rows = group[start:start + step]
-                u = np.empty((rows.size, m))
-                perm = np.empty((rows.size, n * k), dtype=np.int64)
-                for r, i in enumerate(members[rows].tolist()):
-                    gen = fetch(i)
-                    gen.random(out=u[r])
-                    perm[r] = gen.permutation(n * k)
-                row_weights = np.tile(weights, (rows.size, 1))
-                row_weights[np.arange(rows.size), rows] = 0.0
-                draw = _race_draw(u, row_weights, n * k)
+                u = race.random((rows.size, m))
+                perm = np.argsort(regroup.random((rows.size, n * k)), axis=1)
+                # A zero uniform gives the row's own column an infinite key.
+                u[np.arange(rows.size), rows] = 0.0
+                draw = _race_draw(u, weights[None, :], n * k)
                 own = class_losses[rows]
                 estimate = regroup_median(own, class_losses[draw], replace(params, k=k), perm)
                 estimates[members[rows]] = np.minimum(estimate, own)
@@ -215,9 +209,9 @@ def refresh_cache(index: int, dataset: Dataset, model: "model_ops.ModelState",
     """End-of-epoch rebuild: one full forward pass records plain losses, then
     every sample gets a fresh corrected regroup-median estimate.
 
-    `index` numbers the refresh; sample i draws from
-    rng.child(index).child(i), so the rebuild is reproducible and could run
-    in any order.
+    `index` numbers the refresh; it draws from rng.child(index), one pair
+    of streams per class (see `regroup_estimates`), so the rebuild is
+    reproducible and its classes could run in any order.
     """
     probs = model_ops.forward(model, dataset.features)
     fresh = model_ops.per_sample_ce(probs, dataset.observed_labels)

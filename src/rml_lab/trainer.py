@@ -8,7 +8,7 @@ points, one per mode.
 
 The loop is deterministic under RunConfig.seed: batch shuffles and the
 semi-phase orderings run on derived streams keyed by epoch, cache refreshes
-on streams keyed by refresh number and sample, so a rerun reproduces
+on streams keyed by refresh number and class, so a rerun reproduces
 metrics bit for bit.
 """
 

@@ -4,6 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from rml_lab import cli
 from rml_lab.cli import (
     ConfigError,
     DatasetSpec,
@@ -256,6 +257,21 @@ class TestCmdVerify:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             cmd_verify(suite, seed=0, trials=0)
 
+    @pytest.mark.parametrize("suite,trials,message", [
+        ("mom", 0, "trials must be >= 1"), ("cor1", -5, "trials must be >= 1"),
+        ("all", 0, "trials must be >= 1"), ("mom", 10, "'mom' takes no trials"),
+        ("cor1", 10, "'cor1' takes no trials"),
+    ])
+    def test_bad_trials_rejected_before_any_check(self, suite, trials, message, monkeypatch):
+        def no_check(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        for name in ("check_prop1", "check_prop2", "check_mom_robustness"):
+            monkeypatch.setattr(cli.verify, name, no_check)
+        monkeypatch.setattr(cli, "_cor1_report", no_check)
+        with pytest.raises(ValueError, match=message):
+            cmd_verify(suite, seed=0, trials=trials)
+
     def test_all_aggregates(self):
         report = cmd_verify("all", seed=0, trials=500)
         checks = [r["check"] for r in report["reports"]]
@@ -347,6 +363,11 @@ class TestMainEntry:
         assert code == 0
         assert json.loads(out_file.read_text())["pass"]
         capsys.readouterr()
+
+    def test_verify_mom_zero_trials_fails(self, capsys):
+        assert main(["verify", "--suite", "mom", "--trials", "0"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
 
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -208,6 +208,32 @@ def _estimate_first(losses_by_class, params, rng):
     return regroup_estimates(losses, ds, params, rng)[0]
 
 
+def _spy_draws(monkeypatch, pool):
+    """Spy on the race draw and the median of a one-class refresh whose
+    losses `pool` are distinct, so that a row's own loss names its column.
+    Records each loss's k, the weights of the drawn columns and the columns
+    of rows that drew themselves."""
+    seen, picks = {"k": {}, "weights": [], "self_draws": []}, []
+
+    def race_spy(u, w, count):
+        picked = _race_draw(u, w, count)
+        seen["weights"].append(np.take_along_axis(w, picked, axis=1))
+        picks.append(picked)
+        return picked
+
+    def median_spy(own, selected, params, perm):
+        picked = picks.pop()
+        for r, loss in enumerate(own.tolist()):
+            seen["k"][loss] = params.k
+            if pool.index(loss) in picked[r]:
+                seen["self_draws"].append(pool.index(loss))
+        return regroup_median(own, selected, params, perm)
+
+    monkeypatch.setattr(rml, "_race_draw", race_spy)
+    monkeypatch.setattr(rml, "regroup_median", median_spy)
+    return seen
+
+
 class TestEstimateForSample:
     def test_identical_losses(self):
         est = _estimate_first([[2.0] * 30], RegroupParams(n=2, k=3), RngStream(0))
@@ -252,24 +278,28 @@ class TestEstimateForSample:
         # sees 4 (k = 2).  Counting it gave k = 2 throughout, and rows short
         # of finite keys drew infinite-key columns, their own among them.
         ds, losses = _cache_dataset([[0.1, 0.2, 0.3, 0.4, 26.33]])
-        drawn_weights, row_k = [], {}
-
-        def race_spy(u, w, count):
-            picked = _race_draw(u, w, count)
-            drawn_weights.append(np.take_along_axis(w, picked, axis=1))
-            return picked
-
-        def median_spy(own, selected, params, perm):
-            row_k.update(dict.fromkeys(own.tolist(), params.k))
-            return regroup_median(own, selected, params, perm)
-
-        monkeypatch.setattr(rml, "_race_draw", race_spy)
-        monkeypatch.setattr(rml, "regroup_median", median_spy)
+        seen = _spy_draws(monkeypatch, losses.tolist())
         for seed in range(20):
             regroup_estimates(losses, ds, RegroupParams(n=2, k=20), RngStream(seed))
-        assert [row_k[l] for l in losses.tolist()] == [1, 1, 1, 1, 2]
-        # A row's own weight is 0, so no row drew itself.
-        assert all((w >= RACE_MIN_WEIGHT).all() for w in drawn_weights)
+        assert [seen["k"][l] for l in losses.tolist()] == [1, 1, 1, 1, 2]
+        assert seen["self_draws"] == []
+        assert all((w >= RACE_MIN_WEIGHT).all() for w in seen["weights"])
+
+    @given(st.lists(st.floats(0, 3), min_size=1, max_size=25),
+           st.lists(st.floats(25, 41), max_size=5),
+           st.sampled_from([2, 4, 6]), st.integers(1, 6), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_no_row_draws_itself(self, small, large, n, k, seed):
+        # Losses from 25 up to 41 have subnormal or underflowed selection
+        # weights next to peers below 3 (ROADMAP direction 5).
+        pool = list(dict.fromkeys(small + large))
+        ds, losses = _cache_dataset([pool])
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = _spy_draws(monkeypatch, pool)
+            est = regroup_estimates(losses, ds, RegroupParams(n=n, k=k), RngStream(seed))
+        assert seen["self_draws"] == []
+        assert all((w >= RACE_MIN_WEIGHT).all() for w in seen["weights"])
+        assert (est <= losses).all()
 
     def test_self_excluded_from_candidates(self):
         # Sample 0 is an outlier; with every other loss equal, any draw that
@@ -282,28 +312,33 @@ class TestEstimateForSample:
 
 
 def _reference_estimates(losses, dataset, params, rng):
-    """The refresh one sample at a time, as the per-sample loop computed it:
-    the oracle for the batched kernel's bytes."""
+    """The refresh one row at a time, the oracle for the batched kernel's
+    bytes: class c draws its race uniforms from rng.child(2c) and its
+    regroup keys from rng.child(2c + 1), one row after another in order of
+    k, then of the sample; the row's own weight is zeroed."""
     estimates = losses.copy()
     n = params.n
-    for members in dataset.class_index:
+    for c, members in enumerate(dataset.class_index):
         pool = losses[members]
         logits = -processed_loss(pool, params.epsilon_bias) if params.use_processed_loss else -pool
-        for pos, i in enumerate(members.tolist()):
+        race, regroup = rng.child(2 * c).generator, rng.child(2 * c + 1).generator
+        rows = []
+        for pos in range(pool.size):
             w = softmax(logits)
             w[pos] = 0.0
             k = min(params.k, np.count_nonzero(w) // n)
-            if k == 0:
-                continue
-            gen = rng.child(i).generator
+            if k > 0:
+                rows.append((k, pos, w))
+        for k, pos, w in sorted(rows, key=lambda row: row[:2]):
             with np.errstate(divide="ignore", over="ignore"):
-                keys = -np.log(gen.random(w.size)) / w
+                keys = -np.log(race.random(w.size)) / w
             picked = np.argpartition(keys, n * k - 1)[:n * k]
             selected = pool[picked[np.argsort(keys[picked], kind="stable")]]
-            means = selected[gen.permutation(n * k)].reshape(n, k).mean(axis=1)
+            perm = np.argsort(regroup.random(n * k))
+            means = selected[perm].reshape(n, k).mean(axis=1)
             median = np.partition(np.append(means, pool[pos]), n // 2)[n // 2]
             estimate = selected.mean() if params.estimator == "mean" else median
-            estimates[i] = min(estimate, pool[pos])
+            estimates[members[pos]] = min(estimate, pool[pos])
     return estimates
 
 
@@ -316,7 +351,8 @@ class TestReferenceOracle:
         # A class that fills n groups of k; classes smaller than n*k (k
         # shrinks); one with losses near 40, whose processed weights
         # underflow to 0 (so its members see two pool sizes); a singleton.
-        # A small budget splits classes into many chunks of rows.
+        # A small budget splits classes into many chunks of rows, and must
+        # not change a byte: each class's streams are read in row order.
         monkeypatch.setattr(rml, "BUDGET", budget)
         g = np.random.default_rng(7)
         ds, losses = _cache_dataset([
@@ -328,6 +364,24 @@ class TestReferenceOracle:
             np.testing.assert_array_equal(
                 regroup_estimates(losses, ds, params, RngStream(seed, 12)),
                 _reference_estimates(losses, ds, params, RngStream(seed, 12)))
+
+    def test_one_class_never_moves_another(self):
+        # Class 1 shrinks from 40 members to 11 new ones, one of whose
+        # weights underflows, so its rows split into k = 4 and k = 5.  Each
+        # class draws from its own streams, so classes 0, 2 and 3 keep their
+        # bytes although the samples of classes 2 and 3 move.
+        g = np.random.default_rng(3)
+        classes = [g.exponential(1.0, 60), g.uniform(0, 2, 40), g.uniform(0, 3, 9),
+                   g.exponential(2.0, 30)]
+        params = RegroupParams(n=2, k=5)
+        before_ds, before = _cache_dataset(classes)
+        changed = np.append(np.linspace(0.5, 1.5, 10), 40.0)
+        after_ds, after = _cache_dataset([classes[0], changed, *classes[2:]])
+        est_before = regroup_estimates(before, before_ds, params, RngStream(4, 12))
+        est_after = regroup_estimates(after, after_ds, params, RngStream(4, 12))
+        for c in (0, 2, 3):
+            np.testing.assert_array_equal(est_before[before_ds.class_index[c]],
+                                          est_after[after_ds.class_index[c]])
 
 
 class TestCacheUpdates:
