@@ -4,7 +4,8 @@ Two architectures: plain softmax regression and a one-hidden-layer tanh MLP
 (tanh keeps finite-difference gradient checks clean).  The optimizer is SGD
 with momentum, decoupled-into-gradient weight decay, and a cosine-annealed
 learning rate.  A momentum teacher is maintained by exponential moving
-average of the student parameters.
+average of the student parameters.  Each pass owns one (rows, hidden) buffer;
+bias, tanh and tanh' are written into it in place, never into inputs or params.
 """
 
 from __future__ import annotations
@@ -94,16 +95,23 @@ def cosine_lr(opt: OptimizerState, epoch: int) -> float:
 
 
 def _logits_parts(model: ModelState, features: np.ndarray):
-    """Logits plus the hidden activation needed for the backward pass."""
+    """Logits plus the hidden activation needed for the backward pass, the
+    pass's one buffer: bias and tanh go in place; x and params are only read."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.dim:
         raise ValueError(f"forward: expected (batch, {model.dim}) features, got {x.shape}")
     if model.arch == "linear":
         w, b = model.params
-        return x @ w + b, None
+        logits = x @ w
+        logits += b
+        return logits, None
     w1, b1, w2, b2 = model.params
-    h = np.tanh(x @ w1 + b1)
-    return h @ w2 + b2, h
+    h = x @ w1
+    h += b1
+    np.tanh(h, out=h)
+    logits = h @ w2
+    logits += b2
+    return logits, h
 
 
 def forward(model: ModelState, features: np.ndarray) -> np.ndarray:
@@ -128,6 +136,7 @@ def loss_and_grad(model: ModelState, features: np.ndarray, labels: np.ndarray,
     `weigh` maps this pass's per-sample plain CE losses to the weights w_i
     (None means w_i = 1), which act as constants.  Returns the weighted
     per-sample losses w_i * ce_i and the gradient of their batch mean.
+    tanh' = 1 - h^2 overwrites the forward's buffer h once h.T @ dlogits is taken.
     """
     labels = np.asarray(labels, dtype=np.int64)
     batch = labels.shape[0]
@@ -158,8 +167,12 @@ def loss_and_grad(model: ModelState, features: np.ndarray, labels: np.ndarray,
         grads = [x.T @ dlogits, dlogits.sum(axis=0)]
     else:
         w1, b1, w2, b2 = model.params
-        dh = (dlogits @ w2.T) * (1.0 - hidden_act ** 2)
-        grads = [x.T @ dh, dh.sum(axis=0), hidden_act.T @ dlogits, dlogits.sum(axis=0)]
+        dh = dlogits @ w2.T
+        grad_w2 = hidden_act.T @ dlogits
+        np.square(hidden_act, out=hidden_act)
+        np.subtract(1.0, hidden_act, out=hidden_act)
+        dh *= hidden_act
+        grads = [x.T @ dh, dh.sum(axis=0), grad_w2, dlogits.sum(axis=0)]
     return weights * losses, grads
 
 

@@ -2,8 +2,10 @@
 suite: its traced run wraps the functions named in `spans.py`'s LAYERS, and
 `checks.py` calls `rml.probability_shift` on one pool at a time, and its
 refresh check unpacks `rml.refresh_cache`'s call arguments 1 and 2 as the
-dataset and the model.  A rename, deletion or changed signature would break
-benchmark runs; these tests fail first instead."""
+dataset and the model.  `spans.py` counts the rows of `model.forward` and
+`model.loss_and_grad` as the length of call argument 1, the features.  A
+rename, deletion or changed signature would break benchmark runs; these tests
+fail first instead."""
 
 import importlib
 import importlib.util
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rml_lab import rml
+from rml_lab import model, rml
 from rml_lab.numerics import RngStream
 from rml_lab.verify import check_prop1
 
@@ -46,3 +48,8 @@ def test_prop1_check_accepts_the_program_shift(monkeypatch):
 def test_refresh_cache_takes_dataset_and_model_second_and_third():
     names = list(inspect.signature(rml.refresh_cache).parameters)
     assert names[1:3] == ["dataset", "model"]
+
+
+def test_row_counted_functions_take_features_second():
+    for fn in (model.forward, model.loss_and_grad):
+        assert list(inspect.signature(fn).parameters)[1] == "features"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from rml_lab.model import (
     save_checkpoint,
     sgd_step,
 )
-from rml_lab.numerics import RngStream, softmax
+from rml_lab.numerics import LOSS_FLOOR, RngStream, softmax
 from rml_lab.trainer import RunConfig, train_ce
 
 
@@ -57,6 +59,106 @@ def random_case(arch, rng, batch=6, dim=5, classes=4, hidden=6):
     y = rng.integers(0, classes, size=batch)
     w = rng.uniform(0.0, 1.5, size=batch)
     return model, x, np.asarray(y), w
+
+
+def busy_case(arch, rows, rng, dim=8, classes=10, hidden=256):
+    """A model with every param (biases too) away from zero, and a batch."""
+    model = init_model(arch, dim, classes, rng, hidden=hidden)
+    for i, p in enumerate(model.params):
+        p += rng.child(i).normal(0.0, 0.3, size=p.shape)
+    x = rng.child(10).normal(size=(rows, dim))
+    y = np.asarray(rng.child(11).integers(0, classes, size=rows))
+    return model, x, y
+
+
+def reference_logits(model, x):
+    """The out-of-place forward: logits and the hidden activation."""
+    if model.arch == "linear":
+        w, b = model.params
+        return x @ w + b, None
+    w1, b1, w2, b2 = model.params
+    h = np.tanh(x @ w1 + b1)
+    return h @ w2 + b2, h
+
+
+def reference_loss_and_grad(model, x, y, weigh):
+    """The out-of-place forward and backward pass, expression by expression."""
+    logits, h = reference_logits(model, x)
+    probs = softmax(logits, axis=1)
+    losses = per_sample_ce(probs, y)
+    batch = y.size
+    weights = np.ones(batch) if weigh is None else weigh(losses)
+    picked = probs[np.arange(batch), y]
+    scale = weights * (picked / (picked + LOSS_FLOOR)) / batch
+    dlogits = probs * scale[:, None]
+    dlogits[np.arange(batch), y] -= scale
+    if model.arch == "linear":
+        return weights * losses, [x.T @ dlogits, dlogits.sum(axis=0)]
+    dh = (dlogits @ model.params[2].T) * (1.0 - h ** 2)
+    return weights * losses, [x.T @ dh, dh.sum(axis=0), h.T @ dlogits, dlogits.sum(axis=0)]
+
+
+class TestBufferRule:
+    """One (rows, hidden) buffer per pass, written in place: the bytes of the
+    out-of-place expressions, with inputs and params never written."""
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    @pytest.mark.parametrize("rows", [7, 4000])
+    def test_forward_matches_out_of_place(self, arch, rows):
+        model, x, _ = busy_case(arch, rows, RngStream(20))
+        expected = softmax(reference_logits(model, x)[0], axis=1)
+        assert np.array_equal(forward(model, x), expected)
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    @pytest.mark.parametrize("rows", [7, 4000])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_loss_and_grad_matches_out_of_place(self, arch, rows, weighted):
+        model, x, y = busy_case(arch, rows, RngStream(21))
+        weigh = (lambda plain: plain / (1.0 + plain)) if weighted else None
+        losses, grads = loss_and_grad(model, x, y, weigh)
+        ref_losses, ref_grads = reference_loss_and_grad(model, x, y, weigh)
+        assert np.array_equal(losses, ref_losses)
+        assert len(grads) == len(ref_grads)
+        for got, want in zip(grads, ref_grads):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    @pytest.mark.parametrize("layout", ["float64", "fortran", "float32"])
+    def test_inputs_and_params_untouched_and_unaliased(self, arch, layout):
+        model, x, y = busy_case(arch, 9, RngStream(22))
+        # C-contiguous float64 is the case np.asarray hands back uncopied.
+        x = {"float64": x, "fortran": np.asfortranarray(x),
+             "float32": x.astype(np.float32)}[layout]
+        params_before = [p.tobytes() for p in model.params]
+        x_before = x.tobytes()
+        outputs = [forward(model, x)]
+        losses, grads = loss_and_grad(model, x, y, lambda plain: plain + 1.0)
+        outputs += [losses, *grads]
+        assert [p.tobytes() for p in model.params] == params_before
+        assert x.tobytes() == x_before
+        for out in outputs:
+            for held in [x, *model.params]:
+                assert not np.shares_memory(out, held)
+
+    @staticmethod
+    def _peak_bytes(call):
+        call()   # warm-up, untraced
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_forward_allocates_one_hidden_buffer(self):
+        model, x, _ = busy_case("mlp", 4000, RngStream(23))
+        peak = self._peak_bytes(lambda: forward(model, x))
+        assert peak < 1.5 * 4000 * 256 * 8
+
+    def test_loss_and_grad_allocation_budget(self):
+        model, x, y = busy_case("mlp", 128, RngStream(24))
+        peak = self._peak_bytes(lambda: loss_and_grad(model, x, y))
+        assert peak < 3.0 * 128 * 256 * 8
 
 
 class TestForward:
