@@ -2,8 +2,10 @@
 
 Each injector maps a dataset to a new dataset with corrupted observed labels;
 true labels and features are untouched and the per-class index is rebuilt.
-Per-sample randomness is keyed by sample index, so extending a dataset never
-changes the fate of earlier samples.
+Per-sample randomness is keyed by sample index: sample i draws from
+rng.child(i), so extending a dataset never changes the fate of earlier
+samples.  All children are drawn at once by the bulk kernel in `numerics`,
+with the bytes each child stream gives on its own.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset, feature_stats
-from .numerics import RngStream, child_generator_pool, softmax
+from .numerics import RngStream, child_integers, child_random, softmax
 
 NOISE_KINDS = ("symmetric", "pairflip", "instance_dependent", "none")
 
@@ -55,33 +57,31 @@ def apply(dataset: Dataset, spec: NoiseSpec, seed: int) -> Dataset:
 
 def inject_symmetric(dataset: Dataset, rate: float, rng: RngStream) -> Dataset:
     """Flip each label with probability `rate`, uniformly to one of the other
-    c-1 classes, so the realized noise rate matches the nominal rate."""
+    c-1 classes, so the realized noise rate matches the nominal rate.
+    Sample i flips when rng.child(i).random() < rate and then draws its
+    target with that child's integers(0, c-1)."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"inject_symmetric: rate must be in [0, 1), got {rate}")
     if dataset.num_classes < 2:
         raise ValueError("inject_symmetric: need at least 2 classes")
     c = dataset.num_classes
     labels = dataset.observed_labels.copy()
-    fetch = child_generator_pool(rng)
-    for i in range(labels.size):
-        child = fetch(i)
-        if child.random() < rate:
-            target = int(child.integers(0, c - 1))
-            if target >= labels[i]:
-                target += 1
-            labels[i] = target
+    flip = np.flatnonzero(child_random(rng, np.arange(labels.size), 1)[:, 0] < rate)
+    target = child_integers(rng, flip, c - 1, skip=1)
+    labels[flip] = target + (target >= labels[flip])
     return dataset.with_observed_labels(labels)
 
 
 def inject_pairflip(dataset: Dataset, rate: float, rng: RngStream) -> Dataset:
     """Flip each label with probability `rate` to the adjacent class
-    (y+1 mod c); all other transitions keep zero mass."""
-    if rate >= 0.5:
-        raise ValueError("inject_pairflip: rate must be < 0.5")
+    (y+1 mod c); all other transitions keep zero mass.  Sample i flips when
+    rng.child(i).random() < rate."""
+    if not 0.0 <= rate < 0.5:
+        raise ValueError(f"inject_pairflip: rate must be in [0, 0.5), got {rate}")
     c = dataset.num_classes
     labels = dataset.observed_labels.copy()
-    fetch = child_generator_pool(rng)
-    for i in range(labels.size):
-        if fetch(i).random() < rate:
-            labels[i] = (labels[i] + 1) % c
+    flip = child_random(rng, np.arange(labels.size), 1)[:, 0] < rate
+    labels[flip] = (labels[flip] + 1) % c
     return dataset.with_observed_labels(labels)
 
 
@@ -95,7 +95,7 @@ def inject_instance_dependent(dataset: Dataset, rate: float, rng: RngStream) -> 
     makes the injector insensitive to the caller's feature scaling.
     """
     if not 0.0 <= rate < 1.0:
-        raise ValueError("inject_instance_dependent: rate must be in [0, 1)")
+        raise ValueError(f"inject_instance_dependent: rate must be in [0, 1), got {rate}")
     if dataset.num_classes < 2:
         raise ValueError("inject_instance_dependent: need at least 2 classes")
     n, d = dataset.features.shape
@@ -104,15 +104,9 @@ def inject_instance_dependent(dataset: Dataset, rate: float, rng: RngStream) -> 
     x = (dataset.features - mean) / std
 
     # Projections first, from the parent stream, so per-sample substreams
-    # stay index-keyed.
+    # stay index-keyed: sample i draws (u_flip, u_target) from rng.child(i).
     proj = rng.normal(size=(c, d, c))
-    u_flip = np.empty(n)
-    u_target = np.empty(n)
-    fetch = child_generator_pool(rng)
-    for i in range(n):
-        child = fetch(i)
-        u_flip[i] = child.random()
-        u_target[i] = child.random()
+    u_flip, u_target = child_random(rng, np.arange(n), 2).T
 
     q = _flip_probabilities(u_flip, rate)
     labels = dataset.observed_labels.copy()

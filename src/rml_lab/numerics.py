@@ -3,7 +3,10 @@ weighted sampling, and reproducible counter-based random streams.
 
 Everything here is pure given its inputs.  Random functions take an explicit
 RngStream; two streams built from the same (seed, stream_id) replay the same
-sequence bit for bit, across runs and machines.
+sequence bit for bit, across runs and machines.  Per-index child streams
+(stream.child(i)) can also be drawn in bulk: `child_random` and
+`child_integers` run Philox4x64-10 in numpy over many children at once and
+give, row by row, the bytes each child's own generator gives.
 """
 
 from __future__ import annotations
@@ -15,21 +18,125 @@ import numpy as np
 LOSS_FLOOR = 1e-12
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+_MASK32 = np.uint64(0xFFFFFFFF)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+# Philox4x64-10 multipliers and key increments (Salmon et al., "Parallel
+# random numbers: as easy as 1, 2, 3", SC 2011), as numpy's Philox uses them.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (int(_GOLDEN), 0xBB67AE8584CAA73B)
+# Philox blocks computed per pass of the bulk kernel; bounds its temporaries.
+_PHILOX_LANES = 8192
 
 
-def _splitmix64(x: int) -> int:
-    """One round of the splitmix64 mixer (avalanches all 64 bits)."""
-    x = (x + _GOLDEN) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """One round of the splitmix64 mixer (avalanches all 64 bits), per uint64
+    entry, wrapping modulo 2**64."""
+    z = x + _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def _child_id(stream_id: int, index: int) -> int:
-    """Stream id of child `index` of stream `stream_id`."""
-    return _splitmix64((stream_id ^ _splitmix64(index & _MASK64)) & _MASK64)
+def _child_id(stream_id: int, index) -> np.ndarray:
+    """Stream ids of children `index` (an int array, taken modulo 2**64) of
+    stream `stream_id`."""
+    index = np.asarray(index).astype(np.uint64)
+    return _splitmix64(np.uint64(stream_id) ^ _splitmix64(index))
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 64-bit words of the 128-bit products m * x, the high word
+    assembled from 32-bit halves (no partial sum below overflows)."""
+    m_lo, m_hi = m & _MASK32, m >> np.uint64(32)
+    x_lo, x_hi = x & _MASK32, x >> np.uint64(32)
+    low_cross = m_hi * x_lo + ((m_lo * x_lo) >> np.uint64(32))
+    high_cross = m_lo * x_hi + (low_cross & _MASK32)
+    high = m_hi * x_hi + (low_cross >> np.uint64(32)) + (high_cross >> np.uint64(32))
+    return m * x, high
+
+
+def _philox4x64(counter: np.ndarray, key0: int, key1: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of the blocks at counters (counter, 0, 0, 0) under keys
+    (key0, key1), one lane per entry: the (lanes, 4) words numpy's Philox
+    buffers for them."""
+    zero = np.zeros_like(counter)
+    c0, c1, c2, c3 = counter, zero, zero, zero
+    for r in range(10):
+        # Round r's key is the key bumped r times, modulo 2**64.
+        k0 = np.uint64((key0 + r * _PHILOX_W[0]) & _MASK64)
+        k1 = key1 + np.uint64((r * _PHILOX_W[1]) & _MASK64)
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=1)
+
+
+def _child_words(stream: "RngStream", indices, count: int) -> np.ndarray:
+    """Row r holds the first `count` 64-bit words of stream.child(indices[r]).
+
+    numpy's Philox steps its counter before it generates, so a fresh stream's
+    word j sits in the block at counter j // 4 + 1.  Every block is computed
+    on its own, at most _PHILOX_LANES per pass.
+    """
+    ids = _child_id(stream.stream_id, indices)
+    blocks = -(-count // 4)
+    rows = max(1, _PHILOX_LANES // blocks)
+    counter = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), min(rows, ids.size))
+    out = np.empty((ids.size, count), dtype=np.uint64)
+    for start in range(0, ids.size, rows):
+        key1 = np.repeat(ids[start:start + rows], blocks)
+        words = _philox4x64(counter[:key1.size], stream.seed, key1)
+        out[start:start + rows] = words.reshape(-1, blocks * 4)[:, :count]
+    return out
+
+
+def child_random(stream: "RngStream", indices, count: int) -> np.ndarray:
+    """Row r is stream.child(indices[r]).random(count), bit for bit, for all
+    rows at once: numpy's doubles (w >> 11) * 2**-53 of each child's words."""
+    words = _child_words(stream, indices, count)
+    # In place: at 10^5 children a fresh array per step raises peak RSS.
+    words >>= np.uint64(11)
+    doubles = words.astype(np.float64)
+    doubles *= 2.0 ** -53
+    return doubles
+
+
+def _lemire(words: np.ndarray, high: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Generator.integers(0, high), 2 <= high < 2**32, per row of
+    `words`: Lemire's multiply-and-reject over their 32-bit halves, low half
+    first.  A half is rejected when the low word of half * high falls below
+    2**32 % high.  Returns (values, drawn); drawn is False on a row whose
+    halves were all rejected."""
+    halves = np.stack([words & _MASK32, words >> np.uint64(32)], axis=2).reshape(len(words), -1)
+    product = halves * np.uint64(high)
+    accepted = (product & _MASK32) >= np.uint64((1 << 32) % high)
+    first = accepted.argmax(axis=1)
+    values = product[np.arange(len(product)), first] >> np.uint64(32)
+    return values.astype(np.int64), accepted.any(axis=1)
+
+
+def child_integers(stream: "RngStream", indices, high: int, skip: int) -> np.ndarray:
+    """Entry r is what stream.child(indices[r]).integers(0, high) gives after
+    `skip` words were drawn from that child (one per random() value), for all
+    rows at once; 1 <= high < 2**32.
+
+    The draw reads the three words after the skipped ones; a row whose six
+    halves are all rejected (p < 1e-38 for high <= 1000) reads on, one more
+    block at a time.
+    """
+    indices = np.asarray(indices)
+    values = np.zeros(indices.size, dtype=np.int64)
+    if high == 1:
+        return values   # numpy returns low without drawing
+    todo = np.arange(indices.size)
+    count = skip + 3
+    while todo.size:
+        drawn_values, drawn = _lemire(_child_words(stream, indices[todo], count)[:, skip:], high)
+        values[todo[drawn]] = drawn_values[drawn]
+        todo = todo[~drawn]
+        count += 4
+    return values
 
 
 def _philox_state(seed: int, stream_id: int) -> dict:
@@ -38,7 +145,7 @@ def _philox_state(seed: int, stream_id: int) -> dict:
     Assigning it to `Philox.state` is bit-identical to
     Philox(key=[seed, stream_id]) and much cheaper: the keyed constructor
     still gathers OS entropy for a SeedSequence it never uses, which
-    dominates the cost of creating many small per-sample streams.
+    dominates the cost of creating many small child streams.
     """
     return {
         "bit_generator": "Philox",
@@ -78,7 +185,7 @@ class RngStream:
 
     def child(self, index: int) -> "RngStream":
         """Derive an independent substream keyed by `index`."""
-        return RngStream(self.seed, _child_id(self.stream_id, index))
+        return RngStream(self.seed, int(_child_id(self.stream_id, [index & _MASK64])[0]))
 
     # Thin draws over the wrapped generator.
     def random(self, size=None):
@@ -98,28 +205,6 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-def child_generator_pool(stream: RngStream):
-    """Sequential fast path over `stream.child(i).generator`.
-
-    Returns `fetch(index) -> Generator` that re-keys one shared Philox
-    instead of constructing a fresh object per child; draws are
-    bit-identical to the plain child route.  Finish drawing from one index
-    before fetching the next: the generator object is reused.
-    """
-    bg = np.random.Philox(seed=0)
-    gen = np.random.Generator(bg)
-    # This pool's own state: only the child id in its key changes per fetch.
-    state = _philox_state(stream.seed, 0)
-    key = state["state"]["key"]
-
-    def fetch(index: int) -> np.random.Generator:
-        key[1] = _child_id(stream.stream_id, index)
-        bg.state = state
-        return gen
-
-    return fetch
 
 
 def softmax(logits, axis: int = -1) -> np.ndarray:

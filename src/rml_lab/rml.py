@@ -216,20 +216,3 @@ def refresh_cache(index: int, dataset: Dataset, model: "model_ops.ModelState",
     probs = model_ops.forward(model, dataset.features)
     fresh = model_ops.per_sample_ce(probs, dataset.observed_labels)
     return LossCache(fresh, regroup_estimates(fresh, dataset, params, rng.child(index)))
-
-
-def dump_cache(cache: LossCache, dataset: Dataset, path) -> None:
-    """Diagnostic CSV: sample_id, labels, plain/estimated loss, corruption."""
-    has_truth = dataset.true_labels is not None
-    with open(path, "w", newline="") as f:
-        f.write("sample_id,true_label,observed_label,loss_plain,loss_rml,is_corrupted\n")
-        for i in range(dataset.n_samples):
-            true = str(int(dataset.true_labels[i])) if has_truth else ""
-            corrupted = (
-                str(int(dataset.true_labels[i] != dataset.observed_labels[i]))
-                if has_truth else ""
-            )
-            f.write(
-                f"{i},{true},{int(dataset.observed_labels[i])},"
-                f"{float(cache.loss[i])!r},{float(cache.loss_rml[i])!r},{corrupted}\n"
-            )

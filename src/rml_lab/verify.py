@@ -26,7 +26,7 @@ import numpy as np
 from . import rml
 from .data import Dataset
 from .noise import corruption_mask
-from .numerics import RngStream, child_generator_pool
+from .numerics import RngStream, child_random
 
 
 def deviation_bound(n: int, k: int, variance: float, epsilon_r: float) -> tuple[float, float]:
@@ -55,14 +55,14 @@ def check_prop1(trials: int, m: int, rng: RngStream,
     if m < 2:
         raise ValueError("check_prop1: need m >= 2")
     low, high = loss_range
-    fetch = child_generator_pool(rng)
     step = max(1, rml.BUDGET // m)
     max_residual = 0.0
     beta_positive = True
     sign_violations = 0
     for start in range(0, trials, step):
-        losses = np.array([fetch(t).uniform(low, high, m)
-                           for t in range(start, min(start + step, trials))])
+        # rng.child(t).uniform(low, high, m) for every pool t of the chunk.
+        pools = np.arange(start, min(start + step, trials))
+        losses = low + (high - low) * child_random(rng, pools, m)
         shift, beta = rml.probability_shift(losses, epsilon_bias)
         beta = beta[:, None]
         closed = losses * (losses + epsilon_bias - 1.0) - beta

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 
 import rml_lab
-from rml_lab.data import Dataset, make_blobs
+from rml_lab.data import Dataset, make_blobs, split
 from rml_lab.noise import (
     _flip_probabilities,
     NoiseSpec,
     TrueLabelsUnavailable,
+    apply,
     corruption_mask,
     empirical_transition_matrix,
     inject_instance_dependent,
@@ -36,6 +38,20 @@ class TestSymmetric:
         ds = _big_clean(4, 25, 3, seed=1)
         out = inject_symmetric(ds, 0.0, RngStream(1, 2))
         np.testing.assert_array_equal(out.observed_labels, out.true_labels)
+
+    @pytest.mark.parametrize("rate", [1.5, 1.0, -0.2, float("nan")])
+    def test_rate_outside_unit_interval(self, rate):
+        ds = _big_clean(4, 25, 3, seed=1)
+        with pytest.raises(ValueError, match=f"rate must be in \\[0, 1\\), got {rate}"):
+            inject_symmetric(ds, rate, RngStream(1, 2))
+
+    def test_two_classes_swap_only(self):
+        # integers(0, 1) draws nothing: every flip goes to the other class.
+        ds = _big_clean(2, 500, 2, seed=9)
+        out = inject_symmetric(ds, 0.45, RngStream(9, 2))
+        flipped = corruption_mask(out)
+        assert 0.4 < flipped.mean() < 0.5
+        np.testing.assert_array_equal(out.observed_labels[flipped], 1 - out.true_labels[flipped])
 
     def test_realized_rate(self, clean_100k):
         out = inject_symmetric(clean_100k, 0.5, RngStream(2, 2))
@@ -109,6 +125,12 @@ class TestPairflip:
         with pytest.raises(ValueError):
             inject_pairflip(ds, 0.5, RngStream(10, 2))
 
+    @pytest.mark.parametrize("rate", [-0.3, float("nan")])
+    def test_rate_below_zero(self, rate):
+        ds = _big_clean(3, 10, 2, seed=10)
+        with pytest.raises(ValueError, match=f"rate must be in \\[0, 0.5\\), got {rate}"):
+            inject_pairflip(ds, rate, RngStream(10, 2))
+
 
 class TestInstanceDependent:
     def test_realized_rate(self, clean_100k):
@@ -135,6 +157,34 @@ class TestInstanceDependent:
         ds = _big_clean(4, 100, 3, seed=13)
         out = inject_instance_dependent(ds, 0.3, RngStream(13, 2))
         np.testing.assert_array_equal(out.true_labels, ds.true_labels)
+
+
+def _label_digest(dataset: Dataset) -> str:
+    return hashlib.sha256(dataset.observed_labels.astype(np.int64).tobytes()).hexdigest()
+
+
+class TestPinnedLabels:
+    """SHA-256 of injected labels, recorded when each sample still drew from
+    its own per-index generator: the bulk child-stream draw must give the same
+    bytes."""
+
+    @pytest.mark.parametrize("kind, rate, stream, digest", [
+        ("symmetric", 0.2, 21, "eeb70e542e34c0a5a90150240d1bf746a56beff02562786a97f6057ddaaa34ad"),
+        ("pairflip", 0.45, 23, "2d88c548a932dc9a5b8451d747db333ba54124bc19c3f439af32bde055fb82c8"),
+        ("instance_dependent", 0.3, 24,
+         "11ec9fbc4e49c61f74ffe55ef32917f3dfe2bc64a1a3e15361ced57aa8734b94"),
+    ])
+    def test_benchmark_injections(self, kind, rate, stream, digest):
+        # The benchmark's verify_suite inputs: 10^5 blobs of seed 0.
+        clean = make_blobs(10, 10_000, 4, 6.0, RngStream(0, 1))
+        assert _label_digest(apply(clean, NoiseSpec(kind, rate, stream), 0)) == digest
+
+    def test_acceptance_training_set(self):
+        # The acceptance BENCH training set of seed 0 at 40% symmetric noise.
+        train, _ = split(make_blobs(10, 500, 8, 4.0, RngStream(0, 1)), 0.2, RngStream(0, 3))
+        noisy = inject_symmetric(train, 0.4, RngStream(0, 2))
+        assert _label_digest(noisy) == (
+            "773d1658a4133543982811a7aa1673891c8acb328c23300ad284442189d10f6d")
 
 
 class TestFlipProbabilities:

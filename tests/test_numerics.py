@@ -9,8 +9,10 @@ from rml_lab.model import per_sample_ce
 from rml_lab.numerics import (
     RACE_MIN_WEIGHT,
     RngStream,
+    _lemire,
     _race_draw,
-    child_generator_pool,
+    child_integers,
+    child_random,
     softmax,
 )
 
@@ -155,8 +157,92 @@ class TestRngStream:
         np.testing.assert_array_equal(c1, c2)
         assert not np.array_equal(c1, base.child(43).random(8))
 
-    def test_generator_pool_matches_child(self):
+
+# (seed, stream_id) pairs for the bulk child kernel, with both ends of the
+# 64-bit key range.
+KERNEL_KEYS = ((0, 0), (2**64 - 1, 2**64 - 1), (9, 1), (0, 2**64 - 1), (2**64 - 1, 21))
+# uint32 halves that numpy's Lemire draw rejects for integers(0, 9): the
+# products half * 9 whose low word falls below 2**32 % 9 = 4.
+REJECTED_9 = (0, 954437177, 1908874354, 2863311531)
+
+
+def _philox_words(halves):
+    """Pack an even number of uint32 halves into 64-bit words, low half first."""
+    return np.array([lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])],
+                    dtype=np.uint64)
+
+
+class TestChildKernel:
+    @pytest.mark.parametrize("seed,stream_id", KERNEL_KEYS)
+    def test_matches_scalar_route(self, seed, stream_id):
+        base = RngStream(seed, stream_id)
+        expected = np.array([base.child(i).random(8) for i in range(20_000)])
+        np.testing.assert_array_equal(child_random(base, np.arange(20_000), 8), expected)
+
+    def test_far_and_negative_indices(self):
         base = RngStream(9, 1)
-        fetch = child_generator_pool(base)
-        for i in (0, 1, 42, 7, 2**40, -3):
-            np.testing.assert_array_equal(fetch(i).random(8), base.child(i).random(8))
+        indices = np.array([0, 1, 42, 7, 2**40, -3])
+        expected = np.array([base.child(int(i)).random(8) for i in indices])
+        np.testing.assert_array_equal(child_random(base, indices, 8), expected)
+
+    def test_counts_across_blocks(self):
+        base = RngStream(3, 5)
+        for count in (1, 5, 13):
+            expected = np.array([base.child(i).random(count) for i in range(50)])
+            np.testing.assert_array_equal(child_random(base, np.arange(50), count), expected)
+
+    @pytest.mark.parametrize("high", [1, 2, 9, 1000, 2**32 - 7])
+    def test_integers_match_scalar_route(self, high):
+        base = RngStream(4, 21)
+
+        def scalar(i):
+            gen = base.child(i).generator
+            gen.random()
+            return gen.integers(0, high)
+
+        expected = [scalar(i) for i in range(2_000)]
+        np.testing.assert_array_equal(child_integers(base, np.arange(2_000), high, skip=1),
+                                      expected)
+
+    @pytest.mark.parametrize("rejected", [1, 3, 5])
+    def test_lemire_rejection_matches_numpy(self, rejected):
+        halves = (REJECTED_9 * 2)[:rejected] + (2**32 - 1, 123456789, 5)
+        words = _philox_words(halves + (7,) * (8 - len(halves)))
+        gen = RngStream(0).generator
+        state = gen.bit_generator.state
+        state["buffer"] = words
+        state["buffer_pos"] = 0
+        gen.bit_generator.state = state
+        values, drawn = _lemire(words[None, :], 9)
+        assert drawn[0]
+        assert values[0] == gen.integers(0, 9)
+
+    def test_lemire_reports_exhausted_rows(self):
+        values, drawn = _lemire(_philox_words(REJECTED_9 * 2)[None, :], 9)
+        assert not drawn[0]
+
+    def test_child_integers_reads_on_past_the_first_block(self, monkeypatch):
+        # Every half after the skipped word of the first block is rejected:
+        # the draw must come from the second block, as numpy's does.
+        import rml_lab.numerics as numerics
+
+        base = RngStream(6, 2)
+        rejected = _philox_words(REJECTED_9 + REJECTED_9[:2])
+        real = numerics._child_words
+
+        def first_block_rejected(stream, indices, count):
+            words = real(stream, indices, count)
+            words[:, 1:4] = rejected
+            return words
+
+        def numpy_draw(i):
+            gen = base.child(i).generator
+            gen.random()
+            state = gen.bit_generator.state
+            state["buffer"][1:4] = rejected
+            gen.bit_generator.state = state
+            return gen.integers(0, 9)
+
+        monkeypatch.setattr(numerics, "_child_words", first_block_rejected)
+        got = child_integers(base, np.arange(3), 9, skip=1)
+        np.testing.assert_array_equal(got, [numpy_draw(i) for i in range(3)])

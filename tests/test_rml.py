@@ -15,7 +15,6 @@ from rml_lab.rml import (
     LossCache,
     RegroupParams,
     batch_weights,
-    dump_cache,
     probability_shift,
     processed_loss,
     refresh_cache,
@@ -499,17 +498,3 @@ class TestRefreshCache:
         cache = refresh_cache(0, ds, model, RegroupParams(n=4, k=3), RngStream(3, 12))
         assert (cache.loss_rml <= cache.loss + 1e-15).all()
         assert (cache.loss_rml >= 0).all()
-
-
-class TestDumpCache:
-    def test_csv_columns_and_rows(self, tmp_path):
-        ds, model = _trained_noisy_setup(seed=4)
-        cache = refresh_cache(0, ds, model, RegroupParams(n=2, k=3), RngStream(4, 12))
-        path = tmp_path / "cache.csv"
-        dump_cache(cache, ds, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "sample_id,true_label,observed_label,loss_plain,loss_rml,is_corrupted"
-        assert len(lines) == ds.n_samples + 1
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[3]) == cache.loss[0]
