@@ -132,6 +132,10 @@ class OptimizerSpec:
     momentum: float = 0.9
     weight_decay: float = 5e-4
 
+    def __post_init__(self):
+        # The optimizer's own checks, before any data is built.
+        model_ops.OptimizerState(**asdict(self), total_epochs=0)
+
 
 @dataclass
 class ExperimentConfig:
@@ -232,8 +236,10 @@ def _out_dir(out_dir) -> Path:
 def cmd_inject(config: ExperimentConfig, seed: int, out_dir) -> dict:
     if config.noise is None:
         raise ConfigError("inject needs a noise section")
-    out = _out_dir(out_dir)
     dataset = build_dataset(config.dataset, seed)
+    if dataset.num_classes > data_ops.MAX_CLASSES:   # before --out is made
+        raise ValueError(f"inject: label bytes support at most {data_ops.MAX_CLASSES} "
+                         f"classes, got {dataset.num_classes}")
     if dataset.true_labels is None:
         # File-backed labels count as the pre-corruption truth.
         dataset = data_ops.Dataset(dataset.features, dataset.observed_labels,
@@ -241,6 +247,7 @@ def cmd_inject(config: ExperimentConfig, seed: int, out_dir) -> dict:
                                    true_labels=dataset.observed_labels.copy())
     noisy = noise_ops.apply(dataset, config.noise, seed)
     mask = noise_ops.corruption_mask(noisy)
+    out = _out_dir(out_dir)
     data_ops.save_dataset(noisy, out / "dataset.rmld")
     with open(out / "mask.csv", "w", newline="") as f:
         f.write("sample_id,is_corrupted\n")

@@ -22,6 +22,7 @@ IDX_LABELS_MAGIC = 0x00000801
 
 CONTAINER_MAGIC = b"RMLDATA\x01"
 CONTAINER_VERSION = 1
+MAX_CLASSES = 256   # one label byte per sample
 
 
 class IdxFormatError(ValueError):
@@ -194,8 +195,8 @@ def read_idx(images_path, labels_path) -> Dataset:
 def save_dataset(dataset: Dataset, path) -> None:
     """Self-describing container: magic, version, N/d/c, float64 features,
     one label byte per sample (observed, then true when present)."""
-    if dataset.num_classes > 256:
-        raise ValueError("save_dataset: label bytes support at most 256 classes")
+    if dataset.num_classes > MAX_CLASSES:
+        raise ValueError(f"save_dataset: label bytes support at most {MAX_CLASSES} classes")
     flags = 1 if dataset.true_labels is not None else 0
     with open(path, "wb") as f:
         f.write(CONTAINER_MAGIC)

@@ -11,7 +11,6 @@ bias, tanh and tanh' are written into it in place, never into inputs or params.
 from __future__ import annotations
 
 import struct
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +55,12 @@ class OptimizerState:
     velocity: list[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("OptimizerState: momentum must be in [0, 1)")
+        for holds, rule in ((0.0 <= self.momentum < 1.0, "momentum must be in [0, 1)"),
+                            (self.lr_init > 0.0, "lr_init must be > 0"),
+                            (0.0 <= self.lr_min <= self.lr_init, "lr_min must be in [0, lr_init]"),
+                            (self.weight_decay >= 0.0, "weight_decay must be >= 0")):
+            if not holds:
+                raise ValueError(f"OptimizerState: {rule}")
 
 
 def init_model(arch: str, dim: int, num_classes: int, rng: RngStream,
@@ -81,9 +84,8 @@ def init_model(arch: str, dim: int, num_classes: int, rng: RngStream,
 def init_optimizer(model: ModelState, lr_init: float, total_epochs: int,
                    lr_min: float = 1e-4, momentum: float = 0.9,
                    weight_decay: float = 5e-4) -> OptimizerState:
-    opt = OptimizerState(lr_init, lr_min, momentum, weight_decay, total_epochs)
-    opt.velocity = [np.zeros_like(p) for p in model.params]
-    return opt
+    return OptimizerState(lr_init, lr_min, momentum, weight_decay, total_epochs,
+                          [np.zeros_like(p) for p in model.params])
 
 
 def cosine_lr(opt: OptimizerState, epoch: int) -> float:
@@ -130,16 +132,20 @@ def per_sample_ce(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad(model: ModelState, features: np.ndarray, labels: np.ndarray,
-                  weigh: Callable[[np.ndarray], np.ndarray] | None = None):
+                  weights: np.ndarray | None = None):
     """One forward and backward pass over a batch.
 
-    `weigh` maps this pass's per-sample plain CE losses to the weights w_i
-    (None means w_i = 1), which act as constants.  Returns the weighted
-    per-sample losses w_i * ce_i and the gradient of their batch mean.
+    `weights` are the per-sample constants w_i, shape (batch,), finite and
+    >= 0 (None means w_i = 1).  Returns the weighted per-sample losses
+    w_i * ce_i and the gradient of their batch mean.
     tanh' = 1 - h^2 overwrites the forward's buffer h once h.T @ dlogits is taken.
     """
     labels = np.asarray(labels, dtype=np.int64)
     batch = labels.shape[0]
+    weights = np.ones(batch) if weights is None else np.asarray(weights, dtype=np.float64)
+    if weights.shape != (batch,) or np.any(weights < 0) or not np.all(np.isfinite(weights)):
+        raise ValueError(f"loss_and_grad: weights must be ({batch},), finite and >= 0; "
+                         f"got shape {weights.shape}")
     logits, hidden_act = _logits_parts(model, features)
     finite_rows = np.isfinite(logits).all(axis=1)
     if not finite_rows.all():
@@ -147,12 +153,6 @@ def loss_and_grad(model: ModelState, features: np.ndarray, labels: np.ndarray,
         raise NumericalFailure(f"non-finite loss at sample {bad}", bad)
     probs = softmax(logits, axis=1)
     losses = per_sample_ce(probs, labels)
-    if weigh is None:
-        weights = np.ones(batch)
-    else:
-        weights = np.asarray(weigh(losses), dtype=np.float64)
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-            raise ValueError("loss_and_grad: weights must be finite and >= 0")
 
     # d(-log(p_y + floor))/dlogits = p_y/(p_y + floor) * (probs - onehot);
     # the alpha factor keeps the gradient exact under the loss floor.

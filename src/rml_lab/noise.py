@@ -17,7 +17,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset, feature_stats
-from .numerics import RngStream, child_integers, child_random, softmax
+from .numerics import RngStream, child_integers, child_random
 
 NOISE_KINDS = ("symmetric", "pairflip", "instance_dependent", "none")
 

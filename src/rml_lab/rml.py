@@ -18,10 +18,8 @@ estimates are recomputed once per epoch, from the refresh's own full forward
 pass; each class's estimates take one race draw and one `regroup_median`
 call over rows of samples, drawn from two keyed streams of the class.  The
 cache is plain data, the two loss arrays: the caller numbers its refreshes,
-and refresh `index` draws from `rng.child(index)`.  Inside an epoch the
-frozen cache is carried to each SGD step's plain losses by the scale
-l_new * (estimate/plain), clamped to l_new; the step's single forward pass
-supplies l_new, so weighting costs no extra forward.
+and refresh `index` draws from `rng.child(index)`.  Inside an epoch each
+sample's weight is fixed by the refresh: estimate/plain, clipped to [0, 1].
 """
 
 from __future__ import annotations
@@ -63,12 +61,12 @@ class RegroupParams:
     estimator: str = "median"
 
     def __post_init__(self):
-        if self.n < 2 or self.n % 2 != 0:
-            raise ValueError(f"RegroupParams: n must be a positive even integer, got {self.n}")
-        if self.k < 1:
-            raise ValueError(f"RegroupParams: k must be >= 1, got {self.k}")
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"RegroupParams: unknown estimator {self.estimator!r}")
+        for holds, rule in ((self.n >= 2 and self.n % 2 == 0, "n must be a positive even integer"),
+                            (self.k >= 1, "k must be >= 1"),
+                            (self.epsilon_bias >= 0.0, "epsilon_bias must be >= 0"),
+                            (self.estimator in ESTIMATORS, f"estimator must be in {ESTIMATORS}")):
+            if not holds:
+                raise ValueError(f"RegroupParams: {rule}, got {self}")
 
 
 @dataclass
@@ -146,15 +144,12 @@ def regroup_median(own: np.ndarray, selected: np.ndarray, params: RegroupParams,
     return np.partition(pool, n // 2, axis=1)[:, n // 2]
 
 
-def batch_weights(cache: LossCache, batch_indices: np.ndarray,
-                  fresh_losses: np.ndarray) -> np.ndarray:
-    """Per-sample weights w_i so the weighted batch mean (1/B) sum w_i*l_i
-    equals the mean of the propagated estimates, clamped to the fresh losses
-    (the clip's upper bound is that clamp)."""
+def batch_weights(cache: LossCache, batch_indices: np.ndarray) -> np.ndarray:
+    """Per-sample weights w_i = estimate_i / plain_i, clipped to [0, 1], so
+    w_i * plain_i is the sample's estimate (the clip's upper bound is the
+    clamp to the plain loss)."""
     idx = np.asarray(batch_indices, dtype=np.int64)
-    fresh = np.asarray(fresh_losses, dtype=np.float64)
-    propagated = fresh * cache.loss_rml[idx] / np.maximum(cache.loss[idx], LOSS_FLOOR)
-    return np.clip(propagated / np.maximum(fresh, LOSS_FLOOR), 0.0, 1.0)
+    return np.clip(cache.loss_rml[idx] / np.maximum(cache.loss[idx], LOSS_FLOOR), 0.0, 1.0)
 
 
 def regroup_estimates(losses: np.ndarray, dataset: Dataset, params: RegroupParams,

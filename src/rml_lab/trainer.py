@@ -15,8 +15,7 @@ metrics bit for bit.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
-from functools import partial
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,8 +108,8 @@ def _epoch(dataset: Dataset, model: ModelState, teacher: ModelState | None,
     """One pass over shuffled mini-batches of `rows`: every SGD step of every
     mode.  Returns the mean optimized batch loss.
 
-    With a cache, `rml.batch_weights` carries its estimates to each step's
-    plain losses.  A semi epoch passes the unlabeled `pool` (cache None):
+    With a cache, each batch is weighted by `rml.batch_weights`, fixed at
+    the refresh.  A semi epoch passes the unlabeled `pool` (cache None):
     each batch of observed labels gets as many partners, cycled through the
     shuffled pool and labeled with the teacher's current argmax prediction.
     The shuffles come from the phase's stream, keyed by epoch.
@@ -123,13 +122,13 @@ def _epoch(dataset: Dataset, model: ModelState, teacher: ModelState | None,
     for pos in range(0, order.size, config.batch_size):
         batch = order[pos:pos + config.batch_size]
         y = dataset.observed_labels[batch]
-        weigh = None if cache is None else partial(rml.batch_weights, cache, batch)
+        weights = None if cache is None else rml.batch_weights(cache, batch)
         if cycle.size:
             partner = cycle[(pos + np.arange(batch.size)) % cycle.size]
             guess = model_ops.forward(teacher, dataset.features[partner]).argmax(axis=1)
             batch = np.concatenate([batch, partner])
             y = np.concatenate([y, guess])
-        losses, grads = model_ops.loss_and_grad(model, dataset.features[batch], y, weigh)
+        losses, grads = model_ops.loss_and_grad(model, dataset.features[batch], y, weights)
         total += float(losses.mean())
         model_ops.sgd_step(model, opt, grads, epoch)
         if teacher is not None:
@@ -229,8 +228,5 @@ def write_metrics_csv(rows: list[MetricsRow], path) -> None:
         writer = csv.writer(f)
         writer.writerow(METRICS_COLUMNS)
         for row in rows:
-            record = asdict(row)
-            writer.writerow([
-                record["epoch"],
-                *(repr(float(record[c])) for c in METRICS_COLUMNS[1:]),
-            ])
+            writer.writerow([row.epoch, *(repr(float(getattr(row, c)))
+                                          for c in METRICS_COLUMNS[1:])])

@@ -77,6 +77,11 @@ class TestConfigParsing:
         ("model", {"arch": "cnn"}, "model"),
         ("test_fraction", 1.0, "config"),
         ("run", {"mode": "rml", "regroup": {"n": 3}}, "run.regroup"),
+        ("optimizer", {"lr_init": -0.1}, "optimizer"),
+        ("optimizer", {"lr_min": 5.0}, "optimizer"),
+        ("optimizer", {"weight_decay": -1.0}, "optimizer"),
+        ("optimizer", {"momentum": 1.0}, "optimizer"),
+        ("run", {"mode": "rml", "regroup": {"epsilon_bias": -3.0}}, "run.regroup"),
     ])
     def test_dataclass_check_names_section(self, key, value, path):
         with pytest.raises(ConfigError, match=rf"^{path}: "):
@@ -331,6 +336,32 @@ class TestMainEntry:
         out = tmp_path / "out"
         assert main(["inject", "--config", str(path), "--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
+
+    def test_inject_too_many_classes_writes_nothing(self, tmp_path, capsys):
+        # The container holds one label byte per sample: 300 classes fail
+        # before --out is created.
+        path = tmp_path / "config.json"
+        payload = base_config(dataset={"kind": "blobs", "num_classes": 300,
+                                       "per_class": 2, "dim": 3, "separation": 6.0})
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["inject", "--config", str(path), "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["message"] == "inject: label bytes support at most 256 classes, got 300"
+        assert not out.exists()
+
+    def test_bad_optimizer_fails_before_data_is_read(self, tmp_path, capsys):
+        # The container does not exist: the optimizer error comes first.
+        path = tmp_path / "config.json"
+        payload = base_config(dataset={"kind": "container", "path": str(tmp_path / "none")},
+                              optimizer={"lr_init": 0.1, "lr_min": 5.0})
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        assert error["message"].startswith("optimizer: OptimizerState: lr_min")
         assert not out.exists()
 
     def test_ablate_exit_zero(self, tmp_path, capsys):

@@ -81,13 +81,13 @@ def reference_logits(model, x):
     return h @ w2 + b2, h
 
 
-def reference_loss_and_grad(model, x, y, weigh):
+def reference_loss_and_grad(model, x, y, weights):
     """The out-of-place forward and backward pass, expression by expression."""
     logits, h = reference_logits(model, x)
     probs = softmax(logits, axis=1)
     losses = per_sample_ce(probs, y)
     batch = y.size
-    weights = np.ones(batch) if weigh is None else weigh(losses)
+    weights = np.ones(batch) if weights is None else weights
     picked = probs[np.arange(batch), y]
     scale = weights * (picked / (picked + LOSS_FLOOR)) / batch
     dlogits = probs * scale[:, None]
@@ -114,9 +114,9 @@ class TestBufferRule:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_loss_and_grad_matches_out_of_place(self, arch, rows, weighted):
         model, x, y = busy_case(arch, rows, RngStream(21))
-        weigh = (lambda plain: plain / (1.0 + plain)) if weighted else None
-        losses, grads = loss_and_grad(model, x, y, weigh)
-        ref_losses, ref_grads = reference_loss_and_grad(model, x, y, weigh)
+        weights = RngStream(21).child(12).uniform(0.0, 1.0, size=rows) if weighted else None
+        losses, grads = loss_and_grad(model, x, y, weights)
+        ref_losses, ref_grads = reference_loss_and_grad(model, x, y, weights)
         assert np.array_equal(losses, ref_losses)
         assert len(grads) == len(ref_grads)
         for got, want in zip(grads, ref_grads):
@@ -129,15 +129,16 @@ class TestBufferRule:
         # C-contiguous float64 is the case np.asarray hands back uncopied.
         x = {"float64": x, "fortran": np.asfortranarray(x),
              "float32": x.astype(np.float32)}[layout]
+        weights = np.linspace(0.0, 1.0, y.size)
         params_before = [p.tobytes() for p in model.params]
-        x_before = x.tobytes()
+        x_before, weights_before = x.tobytes(), weights.tobytes()
         outputs = [forward(model, x)]
-        losses, grads = loss_and_grad(model, x, y, lambda plain: plain + 1.0)
+        losses, grads = loss_and_grad(model, x, y, weights)
         outputs += [losses, *grads]
         assert [p.tobytes() for p in model.params] == params_before
-        assert x.tobytes() == x_before
+        assert x.tobytes() == x_before and weights.tobytes() == weights_before
         for out in outputs:
-            for held in [x, *model.params]:
+            for held in [x, weights, *model.params]:
                 assert not np.shares_memory(out, held)
 
     @staticmethod
@@ -200,7 +201,7 @@ class TestLossAndGrad:
         model, x, y, _ = random_case("linear", rng)
         ones = np.ones(y.size)
         _, g_default = loss_and_grad(model, x, y)
-        _, g_ones = loss_and_grad(model, x, y, lambda _: ones)
+        _, g_ones = loss_and_grad(model, x, y, ones)
         for a, b in zip(g_default, g_ones):
             np.testing.assert_array_equal(a, b)
 
@@ -208,11 +209,11 @@ class TestLossAndGrad:
         rng = RngStream(3)
         model, x, y, _ = random_case("linear", rng, batch=4)
         w = np.array([1.0, 0.0, 1.0, 1.0])
-        _, grads = loss_and_grad(model, x, y, lambda _: w)
+        _, grads = loss_and_grad(model, x, y, w)
         # Gradient must equal the one computed with sample 1 removed
         # (weights rescaled by batch size ratio).
         keep = [0, 2, 3]
-        _, grads_subset = loss_and_grad(model, x[keep], y[keep], lambda _: w[keep] * 3 / 4)
+        _, grads_subset = loss_and_grad(model, x[keep], y[keep], w[keep] * 3 / 4)
         for a, b in zip(grads, grads_subset):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -222,29 +223,34 @@ class TestLossAndGrad:
         worst = 0.0
         for trial in range(10):
             model, x, y, w = random_case(arch, rng.child(trial))
-            _, analytic = loss_and_grad(model, x, y, lambda _: w)
+            _, analytic = loss_and_grad(model, x, y, w)
             numeric = finite_difference_grads(model, x, y, w)
             worst = max(worst, max_relative_error(analytic, numeric))
         assert worst < 1e-4
 
     def test_rejects_negative_weights(self):
         model, x, y, _ = random_case("linear", RngStream(5))
-        with pytest.raises(ValueError):
-            loss_and_grad(model, x, y, lambda _: np.array([-1.0, 1, 1, 1, 1, 1]))
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            loss_and_grad(model, x, y, np.array([-1.0, 1, 1, 1, 1, 1]))
 
-    def test_weigh_sees_this_pass_plain_losses(self):
-        # weigh receives the plain CE of the pass it weights; the returned
-        # losses are the weighted ones, w_i * ce_i.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        model, x, y, _ = random_case("linear", RngStream(5))
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            loss_and_grad(model, x, y, np.array([1, 1, bad, 1, 1, 1]))
+
+    @pytest.mark.parametrize("shape", [(5,), (7,), (6, 1), (1, 6), ()])
+    def test_rejects_wrong_shape_weights(self, shape):
+        model, x, y, _ = random_case("linear", RngStream(5))
+        with pytest.raises(ValueError, match=r"weights must be \(6,\), finite and >= 0"):
+            loss_and_grad(model, x, y, np.ones(shape))
+
+    def test_weights_apply_as_given(self):
+        # The returned losses are w_i * ce_i for the given w, and the
+        # unweighted pass returns the plain CE.
         model, x, y, w = random_case("mlp", RngStream(7))
-        seen = []
-
-        def weigh(plain):
-            seen.append(plain.copy())
-            return w
-
-        losses, _ = loss_and_grad(model, x, y, weigh)
         plain = per_sample_ce(forward(model, x), y)
-        np.testing.assert_array_equal(seen[0], plain)
+        losses, _ = loss_and_grad(model, x, y, w)
         np.testing.assert_array_equal(losses, w * plain)
         unweighted, _ = loss_and_grad(model, x, y)
         np.testing.assert_array_equal(unweighted, plain)
@@ -282,6 +288,20 @@ class TestSgdStep:
         assert cosine_lr(opt, 0) == pytest.approx(0.1)
         assert cosine_lr(opt, 100) == pytest.approx(1e-4)
         assert cosine_lr(opt, 50) == pytest.approx((0.1 + 1e-4) / 2)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"lr_init": -0.1}, "lr_init must be > 0"),
+        ({"lr_init": 0.0, "lr_min": 0.0}, "lr_init must be > 0"),
+        ({"lr_min": 5.0}, r"lr_min must be in \[0, lr_init\]"),
+        ({"lr_min": -1e-4}, r"lr_min must be in \[0, lr_init\]"),
+        ({"weight_decay": -1.0}, "weight_decay must be >= 0"),
+        ({"momentum": 1.0}, r"momentum must be in \[0, 1\)"),
+    ])
+    def test_bad_optimizer_values_rejected(self, overrides, message):
+        model = init_model("linear", 2, 2, RngStream(7))
+        values = {"lr_init": 0.1, "total_epochs": 10, **overrides}
+        with pytest.raises(ValueError, match=message):
+            init_optimizer(model, **values)
 
 
 class TestEmaUpdate:

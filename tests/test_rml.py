@@ -10,7 +10,7 @@ from rml_lab import rml
 from rml_lab.data import Dataset, feature_stats, make_blobs, standardize
 from rml_lab.model import init_model, init_optimizer
 from rml_lab.noise import inject_symmetric
-from rml_lab.numerics import RACE_MIN_WEIGHT, RngStream, _race_draw, logsumexp, softmax
+from rml_lab.numerics import LOSS_FLOOR, RACE_MIN_WEIGHT, RngStream, _race_draw, logsumexp, softmax
 from rml_lab.rml import (
     LossCache,
     RegroupParams,
@@ -189,6 +189,14 @@ class TestRegroupMedian:
             RegroupParams(n=3, k=1)
         with pytest.raises(ValueError):
             RegroupParams(n=2, k=0)
+
+    @pytest.mark.parametrize("epsilon_bias", [-3.0, -1e-9, float("nan")])
+    def test_negative_epsilon_bias_rejected(self, epsilon_bias):
+        # For eps < 0, l(l + eps) falls on [0, -eps/2]: a smaller loss could
+        # get a smaller selection weight.
+        with pytest.raises(ValueError, match="epsilon_bias must be >= 0"):
+            RegroupParams(epsilon_bias=epsilon_bias)
+        assert RegroupParams(epsilon_bias=0.0).epsilon_bias == 0.0
 
 
 def _cache_dataset(losses_by_class):
@@ -384,24 +392,25 @@ class TestReferenceOracle:
 
 
 class TestCacheUpdates:
-    """Propagation (fresh * estimate / plain) and the clamp, on the paths
-    training runs: batch_weights and the refresh's estimator."""
+    """The refresh-time weight (estimate / plain, clipped to [0, 1]) and the
+    clamp, on the paths training runs: batch_weights and the refresh's
+    estimator."""
 
     def test_propagate_arithmetic(self):
         cache = LossCache(np.array([4.0]), np.array([1.0]))
-        w = batch_weights(cache, np.array([0]), np.array([2.0]))
-        assert w[0] * 2.0 == pytest.approx(0.5)
+        w = batch_weights(cache, np.array([0]))
+        assert w[0] == 0.25
 
     def test_propagate_identity_ratio(self):
         cache = LossCache(np.array([3.0]), np.array([3.0]))
-        w = batch_weights(cache, np.array([0]), np.array([1.7]))
-        assert w[0] * 1.7 == pytest.approx(1.7)
+        w = batch_weights(cache, np.array([0]))
+        assert w[0] == 1.0
 
     def test_propagate_zero_floor(self):
-        # A zero prior loss hits the floor: 0.5 / 1e-12 scales the fresh loss
-        # far up, and the clamp brings it back to the fresh loss.
+        # A zero plain loss hits the floor: 0.5 / 1e-12 is far above 1, and
+        # the clip brings the weight back to 1.
         cache = LossCache(np.array([0.0]), np.array([0.5]))
-        w = batch_weights(cache, np.array([0]), np.array([1.0]))
+        w = batch_weights(cache, np.array([0]))
         assert w[0] == 1.0
 
     def test_correct_estimate(self):
@@ -425,29 +434,32 @@ class TestCacheUpdates:
 class TestBatchWeights:
     def test_identity_when_estimates_match(self):
         cache = LossCache(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-        w = batch_weights(cache, np.array([0, 1]), np.array([0.5, 3.0]))
+        w = batch_weights(cache, np.array([0, 1]))
         np.testing.assert_allclose(w, 1.0)
 
     def test_zero_estimate_silences(self):
         cache = LossCache(np.array([1.0]), np.array([0.0]))
-        w = batch_weights(cache, np.array([0]), np.array([2.0]))
+        w = batch_weights(cache, np.array([0]))
         assert w[0] == 0.0
 
-    @given(st.lists(st.tuples(st.floats(0, 5), st.floats(0, 1), st.floats(0.05, 5)),
-                    min_size=1, max_size=64))
-    @example([(0.0, 0.5, 1.0)])   # zero prior loss: the floor, then the clamp
-    @example([(1.0, 0.5, 0.0), (0.0, 0.5, 1e-13), (2.0, 0.25, 5e-13)])  # fresh < floor
+    @given(st.lists(st.tuples(st.floats(0, 5), st.floats(0, 1)), min_size=1, max_size=64))
+    @example([(0.0, 0.5)])                          # zero plain loss: the floor
+    @example([(5e-13, 0.5), (1e-12, 0.25), (2.0, 1.0)])   # plain at or below the floor
     @settings(max_examples=200, deadline=None)
     def test_weighted_mean_matches_estimate_mean(self, rows):
-        # Each row: prior plain loss, estimate as a share of it, fresh loss.
-        loss_prev, share, fresh = (np.array(col) for col in zip(*rows))
-        est_prev = share * np.maximum(loss_prev, 0.5)
-        cache = LossCache(loss_prev, est_prev)
-        w = batch_weights(cache, np.arange(fresh.size), fresh)
-        propagated = fresh * est_prev / np.maximum(loss_prev, 1e-12)
-        corrected = np.minimum(propagated, fresh)
-        assert np.isfinite(w).all() and (w >= 0.0).all() and (w <= 1.0).all()
-        np.testing.assert_allclose((w * fresh).mean(), corrected.mean(), rtol=1e-12, atol=1e-12)
+        # Each row: plain loss, estimate as a share of it (estimates are
+        # clamped to the plain loss).
+        plain, share = (np.array(col) for col in zip(*rows))
+        est = share * plain
+        cache = LossCache(plain, est)
+        idx = np.arange(plain.size)[::-1]
+        w = batch_weights(cache, idx)
+        np.testing.assert_array_equal(
+            w, np.clip(est[idx] / np.maximum(plain[idx], LOSS_FLOOR), 0.0, 1.0))
+        assert ((w >= 0.0) & (w <= 1.0)).all()
+        above = plain[idx] >= LOSS_FLOOR
+        np.testing.assert_allclose((w * plain[idx])[above], est[idx][above],
+                                   rtol=1e-15, atol=1e-300)
 
 
 def _trained_noisy_setup(seed=0, noise=0.4, separation=5.0, epochs=60, lr=0.5):

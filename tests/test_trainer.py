@@ -227,7 +227,7 @@ class TestTrainRmlSemi:
                                                                          student_probs, t)
             return split_now["labeled"], split_now["unlabeled"]
 
-        def spy_loss_and_grad(model, features, labels, weigh=None):
+        def spy_loss_and_grad(model, features, labels, weights=None):
             if split_now and split_now["labeled"].size:
                 idx = np.array([row_index.get(row.tobytes(), -1) for row in features])
                 assert (idx >= 0).all(), "semi step trained on a row not in the dataset"
@@ -239,7 +239,7 @@ class TestTrainRmlSemi:
                 np.testing.assert_array_equal(labels[pooled], guess)
                 seen["labeled"] += int((~pooled).sum())
                 seen["unlabeled"] += int(pooled.sum())
-            return real_loss_and_grad(model, features, labels, weigh)
+            return real_loss_and_grad(model, features, labels, weights)
 
         monkeypatch.setattr(trainer, "separate", spy_separate)
         monkeypatch.setattr(model_ops, "loss_and_grad", spy_loss_and_grad)
