@@ -260,6 +260,27 @@ def cmd_inject(config: ExperimentConfig, seed: int, out_dir) -> dict:
     }
 
 
+def _host() -> dict:
+    """What a run's bytes depend on besides its config and seed: numpy's
+    version, the OpenBLAS core it runs and its SIMD targets."""
+    import ctypes
+    from glob import glob
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:   # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    core = "unknown"
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in glob(str(libs / "*openblas*")):
+        get = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            core = get().decode()
+    return {"numpy": np.__version__, "openblas_core": core,
+            "simd_baseline": list(umath.__cpu_baseline__),
+            "simd_dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]}
+
+
 def cmd_train(config: ExperimentConfig, seed: int, out_dir) -> dict:
     out = _out_dir(out_dir)
     started = time.perf_counter()
@@ -278,6 +299,7 @@ def cmd_train(config: ExperimentConfig, seed: int, out_dir) -> dict:
         "final_test_accuracy": rows[-1].test_accuracy if rows else float("nan"),
         "final_train_loss": rows[-1].train_loss if rows else float("nan"),
         "wall_time_seconds": wall,
+        "host": _host(),
     }
     with open(out / "summary.json", "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)

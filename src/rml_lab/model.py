@@ -6,6 +6,9 @@ with momentum, decoupled-into-gradient weight decay, and a cosine-annealed
 learning rate.  A momentum teacher is maintained by exponential moving
 average of the student parameters.  Each pass owns one (rows, hidden) buffer;
 bias, tanh and tanh' are written into it in place, never into inputs or params.
+A training step's rows are its batch; `forward` takes a whole data set in
+row blocks of at most FORWARD_BLOCK buffer elements, so its working set stays
+fixed however many rows it is given.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ CHECKPOINT_MAGIC = b"RMLCKPT\x01"
 
 _ARCH_TAGS = {"linear": 0, "mlp": 1}
 _TAG_ARCHS = {v: k for k, v in _ARCH_TAGS.items()}
+# Elements of a forward block's (rows, hidden) buffer, at most 2 MB of
+# float64: 1 024 rows at hidden 256.  Blocks of a few hundred rows can reach
+# OpenBLAS's small-matrix GEMM kernel, whose rounding differs from the kernel
+# a whole data set gets, so do not shrink it to save memory.
+FORWARD_BLOCK = 1 << 18
 
 
 class NumericalFailure(RuntimeError):
@@ -96,12 +104,17 @@ def cosine_lr(opt: OptimizerState, epoch: int) -> float:
     return opt.lr_min + 0.5 * (opt.lr_init - opt.lr_min) * (1.0 + np.cos(np.pi * t))
 
 
-def _logits_parts(model: ModelState, features: np.ndarray):
-    """Logits plus the hidden activation needed for the backward pass, the
-    pass's one buffer: bias and tanh go in place; x and params are only read."""
+def _features(model: ModelState, features: np.ndarray) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.dim:
         raise ValueError(f"forward: expected (batch, {model.dim}) features, got {x.shape}")
+    return x
+
+
+def _logits_parts(model: ModelState, features: np.ndarray):
+    """Logits plus the hidden activation needed for the backward pass, the
+    pass's one buffer: bias and tanh go in place; x and params are only read."""
+    x = _features(model, features)
     if model.arch == "linear":
         w, b = model.params
         logits = x @ w
@@ -117,8 +130,20 @@ def _logits_parts(model: ModelState, features: np.ndarray):
 
 
 def forward(model: ModelState, features: np.ndarray) -> np.ndarray:
-    """Class probability rows, one per input row."""
-    return softmax(_logits_parts(model, features)[0], axis=1)
+    """Class probability rows, one per input row, computed in even blocks
+    of at most FORWARD_BLOCK // width rows (width: hidden, or the class count
+    of the linear model).  Rows are independent, and no block is a small
+    tail that could take a GEMM kernel which rounds differently."""
+    x = _features(model, features)
+    rows = x.shape[0]
+    width = model.hidden if model.arch == "mlp" else model.num_classes
+    blocks = max(1, -(-rows // max(1, FORWARD_BLOCK // width)))
+    block = max(1, -(-rows // blocks))
+    probs = np.empty((rows, model.num_classes))
+    for start in range(0, rows, block):
+        probs[start:start + block] = softmax(_logits_parts(model, x[start:start + block])[0],
+                                             axis=1)
+    return probs
 
 
 def per_sample_ce(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ true labels and features are untouched and the per-class index is rebuilt.
 Per-sample randomness is keyed by sample index: sample i draws from
 rng.child(i), so extending a dataset never changes the fate of earlier
 samples.  All children are drawn at once by the bulk kernel in `numerics`,
-with the bytes each child stream gives on its own.
+with the bytes each child stream gives on its own.  The instance-dependent
+injector builds its transition rows one class at a time, so its working set
+is a class's (rows, classes) array, never the whole data set's.
 """
 
 from __future__ import annotations
@@ -22,6 +24,16 @@ from .numerics import RngStream, child_integers, child_random
 NOISE_KINDS = ("symmetric", "pairflip", "instance_dependent", "none")
 
 INSTANCE_FLIP_STDEV = 0.1
+
+# The central branch (|p - 0.5| <= 0.425) of AS241's normal quantile
+# (Wichura, Applied Statistics 37, 1988): numerator and denominator
+# coefficients, highest power of r first, as statistics.NormalDist uses them.
+_AS241_NUM = (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+              4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+              1.3314166789178437745e+2, 3.3871328727963666080e+0)
+_AS241_DEN = (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+              2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+              4.2313330701600911252e+1, 1.0)
 
 
 class TrueLabelsUnavailable(ValueError):
@@ -109,12 +121,12 @@ def inject_instance_dependent(dataset: Dataset, rate: float, rng: RngStream) -> 
     u_flip, u_target = child_random(rng, np.arange(n), 2).T
 
     q = _flip_probabilities(u_flip, rate)
-    labels = dataset.observed_labels.copy()
-    transition = instance_flip_distribution(x, labels, q, proj)
-
-    cdf = np.cumsum(transition, axis=1)
-    cdf[:, -1] = 1.0
-    new_labels = (u_target[:, None] >= cdf).sum(axis=1).astype(np.int64)
+    new_labels = np.empty(n, dtype=np.int64)
+    for rows in dataset.class_index:
+        cdf = instance_flip_distribution(x[rows], dataset.observed_labels[rows], q[rows], proj)
+        np.cumsum(cdf, axis=1, out=cdf)
+        cdf[:, -1] = 1.0
+        new_labels[rows] = (u_target[rows, None] >= cdf).sum(axis=1)
     return dataset.with_observed_labels(new_labels)
 
 
@@ -124,17 +136,32 @@ def _flip_probabilities(u: np.ndarray, rate: float) -> np.ndarray:
 
     The two tail masses come from erfc, which keeps its relative precision
     far out, and each quantile is inverted from the nearer tail: a cdf value
-    near 1 would round to 1.0 and lose the tail, or raise in inv_cdf.
+    near 1 would round to 1.0 and lose the tail, or raise in inv_cdf.  The
+    upper half inverts p' = upper + (1 - u) * mass and negates.  AS241's
+    central branch runs vectorized, with NormalDist.inv_cdf's operations in
+    its order, so it gives inv_cdf's bits; the tails call inv_cdf itself.
     """
     root2 = math.sqrt(2.0)
     lower = 0.5 * math.erfc(rate / INSTANCE_FLIP_STDEV / root2)
     upper = 0.5 * math.erfc((1.0 - rate) / INSTANCE_FLIP_STDEV / root2)
     mass = 1.0 - lower - upper
+    p = lower + u * mass
+    upper_half = p > 0.5
+    p[upper_half] = upper + (1.0 - u[upper_half]) * mass
+    q = p - 0.5
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    r = 0.180625 - qc * qc
+    num, den = _AS241_NUM[0], _AS241_DEN[0]
+    for a, b in zip(_AS241_NUM[1:], _AS241_DEN[1:]):
+        num = num * r + a
+        den = den * r + b
+    z = np.empty_like(p)
+    z[central] = num * qc / den
     inv_cdf = NormalDist().inv_cdf
-    z = [inv_cdf(lower + ui * mass) if lower + ui * mass <= 0.5
-         else -inv_cdf(upper + (1.0 - ui) * mass)
-         for ui in u.tolist()]
-    return np.clip(rate + INSTANCE_FLIP_STDEV * np.array(z), 0.0, 1.0)
+    z[~central] = [inv_cdf(pi) for pi in p[~central].tolist()]
+    z[upper_half] *= -1.0
+    return np.clip(rate + INSTANCE_FLIP_STDEV * z, 0.0, 1.0)
 
 
 def instance_flip_distribution(x: np.ndarray, labels: np.ndarray, q: np.ndarray,

@@ -15,11 +15,12 @@ The selection rule lives here alone: the refresh draws by
 
 Loss bookkeeping follows the epoch cache discipline: plain losses and
 estimates are recomputed once per epoch, from the refresh's own full forward
-pass; each class's estimates take one race draw and one `regroup_median`
-call over rows of samples, drawn from two keyed streams of the class.  The
-cache is plain data, the two loss arrays: the caller numbers its refreshes,
-and refresh `index` draws from `rng.child(index)`.  Inside an epoch each
-sample's weight is fixed by the refresh: estimate/plain, clipped to [0, 1].
+pass; each class's estimates take a race draw and a `regroup_median` call
+per chunk of rows (at most BUDGET elements per array), drawn from two keyed
+streams of the class.  The cache is plain data, the two loss arrays: the
+caller numbers its refreshes, and refresh `index` draws from
+`rng.child(index)`.  Inside an epoch each sample's weight is fixed by the
+refresh: estimate/plain, clipped to [0, 1].
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ from .numerics import (
 )
 
 ESTIMATORS = ("median", "mean")
-# Elements per (rows, class size) array of a refresh chunk, ~2 MB of float64:
-# a whole class of a few hundred samples, a few dozen rows of a 6 000 one.
-BUDGET = 1 << 18
+# Elements per (rows, class size) array of a refresh chunk, 512 KB of float64:
+# 163 rows of a 400-sample class, 10 of a 6 000 one.  Chunking never moves a
+# byte (each class's streams are read in row order), so it only caps memory.
+BUDGET = 1 << 16
 
 
 @dataclass

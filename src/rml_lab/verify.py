@@ -28,6 +28,11 @@ from .data import Dataset
 from .noise import corruption_mask
 from .numerics import RngStream, child_random
 
+# Draws per check_prop2 chunk.  Chunk c draws from rng.child(c), so its row
+# count, PROP2_CHUNK // (n*k + 1), is part of the stream key: changing it
+# changes every prop2 report.
+PROP2_CHUNK = 1 << 18
+
 
 def deviation_bound(n: int, k: int, variance: float, epsilon_r: float) -> tuple[float, float]:
     """Tail bound exp(-c1 * (1/2 - c2*var/eps^2)^2) with c1 = 2(n+1) and
@@ -47,8 +52,9 @@ def check_prop1(trials: int, m: int, rng: RngStream,
     For every pool, the log-probability change of each sample must equal
     l*(l + eps - 1) - beta (computed through two independent float paths),
     the pool constant beta must be positive, and the sign of the change must
-    flip exactly where l^2 crosses beta.  Pool t is drawn from rng.child(t);
-    pools are rows, checked in chunks of at most rml.BUDGET losses.
+    flip exactly where l^2 crosses beta.  Pool t is drawn from rng.child(t),
+    so the report does not depend on chunking; pools are rows, checked in
+    chunks of at most rml.BUDGET losses to bound memory.
     """
     if trials < 1:
         raise ValueError("check_prop1: trials must be >= 1")
@@ -105,7 +111,8 @@ def check_prop2(trials: int, rng: RngStream, n: int = 6, k: int = 10,
     One-sided: the bound is loose by construction, so acceptance is
     rate <= bound + 3 binomial standard errors.  Vacuous-bound
     configurations are reported, not failed.  Trials are rows, in chunks of
-    at most rml.BUDGET draws; chunk c draws from rng.child(c)."""
+    PROP2_CHUNK // (n*k + 1) rows; chunk c draws from rng.child(c), so the
+    chunk size is part of the stream key and fixed."""
     if trials < 1:
         raise ValueError("check_prop2: trials must be >= 1")
     if epsilon_r <= 0:
@@ -114,7 +121,7 @@ def check_prop2(trials: int, rng: RngStream, n: int = 6, k: int = 10,
     bound, margin = deviation_bound(n, k, var, epsilon_r)
     vacuous = margin <= 0
     draw = n * k + 1
-    step = max(1, rml.BUDGET // draw)
+    step = max(1, PROP2_CHUNK // draw)
     exceed = 0
     for chunk, start in enumerate(range(0, trials, step)):
         tr = rng.child(chunk)

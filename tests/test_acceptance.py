@@ -3,11 +3,14 @@ the measured statistic (run with -s to stream them).
 
 Criteria 6 and 7 train the scaled benchmark (10-class blobs, 40% symmetric
 train noise, 100 epochs); their runs are shared through a module-scoped
-fixture and dominate the suite's runtime.
+fixture, run on a process pool, and dominate the suite's runtime.
 """
 
 import json
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -78,25 +81,50 @@ def _bench_run(seed: int, mode: str, regroup_overrides=None):
     return model, rows, train
 
 
+VARIANTS = {
+    "ce": ("ce", None),
+    "rml": ("rml", None),
+    "rml_semi": ("rml_semi", None),
+    "no_processing": ("rml", {"use_processed_loss": False}),
+    "no_median": ("rml", {"estimator": "mean"}),
+}
+
+
+def _matrix_job(seed: int, name: str):
+    """One (seed, variant) run: its final test accuracy, and for seed 0's
+    rml also the trained model, metrics rows and training set."""
+    mode, overrides = VARIANTS[name]
+    model, rows, train = _bench_run(seed, mode, overrides)
+    keep = (model, rows, train) if (seed, name) == (SEEDS[0], "rml") else None
+    return rows[-1].test_accuracy, keep
+
+
 @pytest.fixture(scope="module")
 def benchmark_matrix():
     """Final test accuracy for every (seed, variant) of the scaled setting,
-    plus the seed-0 trained rml model for the separation criterion."""
-    variants = {
-        "ce": ("ce", None),
-        "rml": ("rml", None),
-        "rml_semi": ("rml_semi", None),
-        "no_processing": ("rml", {"use_processed_loss": False}),
-        "no_median": ("rml", {"estimator": "mean"}),
-    }
-    accuracy = {name: [] for name in variants}
+    plus the seed-0 trained rml model for the separation criterion.
+
+    The runs are independent and deterministic, so they go to one spawned
+    worker per CPU, each with OpenBLAS on one thread; on one CPU they run
+    here, one after another."""
+    jobs = [(seed, name) for seed in SEEDS for name in VARIANTS]
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    if workers == 1:
+        results = [_matrix_job(*job) for job in jobs]
+    else:
+        # Workers read the variable when they load numpy, so it must be set
+        # before they start.
+        with pytest.MonkeyPatch.context() as env:
+            env.setenv("OPENBLAS_NUM_THREADS", "1")
+            context = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                results = list(pool.map(_matrix_job, *zip(*jobs)))
+    accuracy = {name: [] for name in VARIANTS}
     keep = {}
-    for seed in SEEDS:
-        for name, (mode, overrides) in variants.items():
-            model, rows, train = _bench_run(seed, mode, overrides)
-            accuracy[name].append(rows[-1].test_accuracy)
-            if seed == SEEDS[0] and name == "rml":
-                keep["model"], keep["rows"], keep["train"] = model, rows, train
+    for (seed, name), (acc, kept) in zip(jobs, results):
+        accuracy[name].append(acc)
+        if kept is not None:
+            keep["model"], keep["rows"], keep["train"] = kept
     return accuracy, keep
 
 

@@ -229,6 +229,18 @@ class TestCmdTrain:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["mode"] == "rml"
 
+    def test_summary_records_host(self, tmp_path):
+        # The kernel facts a run's bytes depend on; metrics.csv stays as it
+        # was (tests/test_golden.py pins its bytes).
+        summary = cmd_train(ExperimentConfig.from_dict(base_config()), seed=1, out_dir=tmp_path)
+        host = json.loads((tmp_path / "summary.json").read_text())["host"]
+        assert host == summary["host"]
+        assert sorted(host) == ["numpy", "openblas_core", "simd_baseline", "simd_dispatch"]
+        assert host["numpy"] == np.__version__
+        assert isinstance(host["openblas_core"], str) and host["openblas_core"]
+        for targets in (host["simd_baseline"], host["simd_dispatch"]):
+            assert isinstance(targets, list) and all(isinstance(t, str) for t in targets)
+
     def test_metrics_byte_identical_across_reruns(self, tmp_path):
         config = ExperimentConfig.from_dict(base_config())
         cmd_train(config, seed=2, out_dir=tmp_path / "a")

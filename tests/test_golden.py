@@ -5,9 +5,10 @@ One subprocess runs with OpenBLAS on one thread and its Haswell core, and
 numpy's AVX-512 dispatch off, so the bytes do not depend on which of those
 the host would pick.  It hashes each `metrics.csv` and checkpoint of
 `cmd_train` on 10 x 60 blobs (40% symmetric noise, mlp 64, 20 epochs) and
-the sorted `cmd_verify("all", 0)` report at small trial counts.  The hashes
-are pinned per numpy major.minor.  A change that moves these bytes on
-purpose re-pins them in the same diff; on a host where the pins cannot take
+the sorted `cmd_verify("all", 0)` report at small trial counts, and reads
+the BLAS core and SIMD targets from the runs' `summary.json` host block.
+The hashes are pinned per numpy major.minor.  A change that moves these bytes
+on purpose re-pins them in the same diff; on a host where the pins cannot take
 effect, or on a numpy with no pins, the test skips and says why.
 """
 
@@ -69,25 +70,10 @@ PINS = {
 }
 
 SCRIPT = r'''
-import ctypes, glob, hashlib, json, os, sys, tempfile
+import hashlib, json, sys, tempfile
 from pathlib import Path
 
-import numpy as np
-from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
 from rml_lab import cli
-
-def corename():
-    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
-    for path in glob.glob(pattern):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
-                       "openblas_get_corename"):
-            if hasattr(lib, symbol):
-                get = getattr(lib, symbol)
-                get.argtypes, get.restype = [], ctypes.c_char_p
-                return get().decode()
-    return "unknown"
 
 SMALL = {
     "dataset": {"kind": "blobs", "num_classes": 10, "per_class": 60, "dim": 8,
@@ -114,14 +100,13 @@ with tempfile.TemporaryDirectory() as tmp:
         payload = json.loads(json.dumps(SMALL))
         payload["run"].update(run)
         out = Path(tmp) / name
-        cli.cmd_train(cli.ExperimentConfig.from_dict(payload), 0, out)
+        host = cli.cmd_train(cli.ExperimentConfig.from_dict(payload), 0, out)["host"]
         for file in ("metrics.csv", "student.ckpt", "teacher.ckpt"):
             if (out / file).exists():
                 hashes[f"{name}/{file}"] = sha256((out / file).read_bytes())
 report = cli.cmd_verify("all", 0, trials=200)
 hashes["verify/report.json"] = sha256(json.dumps(report, sort_keys=True).encode())
-json.dump({"numpy": np.__version__, "corename": corename(),
-           "dispatch": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)],
+json.dump({"corename": host["openblas_core"], "dispatch": host["simd_dispatch"],
            "sha256": hashes}, sys.stdout)
 '''
 

@@ -1,0 +1,80 @@
+"""Every full-size pass holds a bounded working set: traced peak memory
+(tracemalloc, which sees numpy's buffers) of one call, with its inputs built
+before tracing starts.  Each bound sits between the blocked pass's peak and
+that of the same pass done in one piece.  The forward's blocks are even."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from rml_lab import model as model_ops
+from rml_lab.data import Dataset, make_blobs
+from rml_lab.noise import inject_instance_dependent
+from rml_lab.numerics import RngStream, softmax
+from rml_lab.rml import RegroupParams, regroup_estimates
+from rml_lab.verify import check_prop1
+
+MB = 2 ** 20
+
+
+def traced_call(fn):
+    """fn()'s result and the peak bytes allocated while it ran, above what
+    was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_runs_in_row_blocks():
+    # One (20 000, 256) hidden buffer alone would be 41 MB; blocks of 1 000
+    # rows hold 2 MB each, next to the (20 000, 10) output.
+    model = model_ops.init_model("mlp", 8, 10, RngStream(0, 4), hidden=256)
+    x = RngStream(0, 1).normal(size=(20_000, 8))
+    peak, probs = traced_call(lambda: model_ops.forward(model, x))
+    assert peak < 8 * MB
+    whole = softmax(model_ops._logits_parts(model, x)[0], axis=1)
+    np.testing.assert_allclose(probs, whole, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("rows, blocks", [
+    (0, []), (1024, [1024]), (1025, [513, 512]), (4100, [820] * 5),
+])
+def test_forward_blocks_are_even(rows, blocks, monkeypatch):
+    # Even blocks leave no small tail: on OpenBLAS's SkylakeX core, blocks of
+    # 1 024 rows and a tail would change bits at 1 100, 1 300 and 4 100 rows,
+    # where a tail of a few hundred rows or less takes its small-matrix GEMM.
+    model = model_ops.init_model("mlp", 8, 10, RngStream(0, 4), hidden=256)
+    seen, logits_parts = [], model_ops._logits_parts
+    monkeypatch.setattr(model_ops, "_logits_parts",
+                        lambda model, x: seen.append(len(x)) or logits_parts(model, x))
+    assert model_ops.forward(model, np.zeros((rows, 8))).shape == (rows, 10)
+    assert seen == blocks
+
+
+def test_refresh_chunks_a_large_class():
+    # One 2 000-sample class: chunks of 32 rows keep each (rows, 2 000)
+    # array at 512 KB.
+    g = RngStream(0, 9)
+    losses = g.generator.exponential(1.0, 2000)
+    dataset = Dataset(g.normal(size=(2000, 2)), np.zeros(2000, dtype=np.int64), 1)
+    peak, _ = traced_call(lambda: regroup_estimates(losses, dataset, RegroupParams(),
+                                                    RngStream(0, 12)))
+    assert peak < 4 * MB
+
+
+def test_prop1_chunks_its_pools():
+    peak, _ = traced_call(lambda: check_prop1(10_000, 100, RngStream(0, 5)))
+    assert peak < 8 * MB
+
+
+def test_instance_dependent_works_class_by_class():
+    # 10^5 samples of 10 classes: no (N, C) transition or cdf array.
+    clean = make_blobs(10, 10_000, 4, 6.0, RngStream(0, 1))
+    peak, _ = traced_call(lambda: inject_instance_dependent(clean, 0.3, RngStream(0, 24)))
+    assert peak < 16 * MB

@@ -1,8 +1,10 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import rml_lab
 from rml_lab.data import Dataset, make_blobs, split
 from rml_lab.noise import (
     _flip_probabilities,
+    INSTANCE_FLIP_STDEV,
     NoiseSpec,
     TrueLabelsUnavailable,
     apply,
@@ -187,6 +190,24 @@ class TestPinnedLabels:
             "773d1658a4133543982811a7aa1673891c8acb328c23300ad284442189d10f6d")
 
 
+def _tail_masses(rate):
+    root2 = math.sqrt(2.0)
+    lower = 0.5 * math.erfc(rate / INSTANCE_FLIP_STDEV / root2)
+    upper = 0.5 * math.erfc((1.0 - rate) / INSTANCE_FLIP_STDEV / root2)
+    return lower, upper, 1.0 - lower - upper
+
+
+def _per_sample_flip_probabilities(u, rate):
+    """The per-sample path: NormalDist.inv_cdf on each draw, inverted from
+    the nearer tail."""
+    lower, upper, mass = _tail_masses(rate)
+    inv_cdf = NormalDist().inv_cdf
+    z = [inv_cdf(lower + ui * mass) if lower + ui * mass <= 0.5
+         else -inv_cdf(upper + (1.0 - ui) * mass)
+         for ui in u.tolist()]
+    return np.clip(rate + INSTANCE_FLIP_STDEV * np.array(z), 0.0, 1.0)
+
+
 class TestFlipProbabilities:
     """Quantiles of normal(rate, 0.1) truncated to [0, 1], against 80-digit
     references, at the extreme draws Generator.random() can return."""
@@ -203,6 +224,25 @@ class TestFlipProbabilities:
     ])
     def test_matches_reference_quantile(self, rate, u, q):
         assert _flip_probabilities(np.array([u]), rate)[0] == pytest.approx(q, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.5, 0.9, 0.999])
+    def test_bits_match_per_sample_inv_cdf(self, rate):
+        # The vectorized central branch must give NormalDist.inv_cdf's bits
+        # on 10^6 draws, the extreme ones, and the draws nearest either side
+        # of the branch edge |p - 0.5| = 0.425 in both halves.
+        lower, upper, mass = _tail_masses(rate)
+        u = [RngStream(31).random(1_000_000), [0.0, 2**-53, 0.5, 1 - 2**-53]]
+        for edge in ((0.075 - lower) / mass, 1.0 - (0.075 - upper) / mass):
+            near = edge + np.arange(-8, 9) * np.spacing(edge)
+            near = near[(near >= 0.0) & (near < 1.0)]
+            p = lower + near * mass
+            p = np.where(p <= 0.5, p, upper + (1.0 - near) * mass)
+            central = np.count_nonzero(np.abs(p - 0.5) <= 0.425)
+            assert near.size == 0 or 0 < central < near.size
+            u.append(near)
+        u = np.concatenate(u)
+        want = _per_sample_flip_probabilities(u, rate)
+        assert _flip_probabilities(u, rate).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.9, 0.99])
     def test_extreme_draws_stay_in_unit_interval(self, rate):

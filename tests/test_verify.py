@@ -55,8 +55,9 @@ class TestCheckProp1:
     @pytest.mark.parametrize("epsilon_bias", [1.0, 2.5])
     @pytest.mark.parametrize("budget", [rml.BUDGET, 700], ids=["default", "small"])
     def test_matches_per_pool_reference(self, budget, epsilon_bias, monkeypatch):
-        # At m = 100 the default budget takes 2 621 pools a chunk, so 3 000
-        # pools are two chunks; 700 takes 7, so 429 chunks, the last of 3.
+        # At m = 100 the default budget takes 655 pools a chunk, so 3 000
+        # pools are five chunks, the last of 380; 700 takes 7, so 429
+        # chunks, the last of 3.
         monkeypatch.setattr(rml, "BUDGET", budget)
         report = check_prop1(3000, 100, RngStream(0, 5), epsilon_bias=epsilon_bias)
         assert report == _reference_prop1(3000, 100, RngStream(0, 5),
@@ -156,6 +157,13 @@ class TestCheckProp2:
                              loc=1.0, scale=1.0)
         assert report["pass"]
         assert report["statistic"] <= report["bound"]
+
+    def test_chunks_do_not_follow_the_refresh_budget(self, monkeypatch):
+        # Chunk c draws from rng.child(c), so prop2's chunk size keys its
+        # stream: shrinking the memory budget of other passes must not move it.
+        want = check_prop2(20_000, RngStream(6, 9), n=6, k=10, epsilon_r=0.4)
+        monkeypatch.setattr(rml, "BUDGET", 700)
+        assert check_prop2(20_000, RngStream(6, 9), n=6, k=10, epsilon_r=0.4) == want
 
     def test_vacuous_configuration_reported(self):
         report = check_prop2(10, RngStream(7, 9), n=2, k=1, epsilon_r=0.5,
