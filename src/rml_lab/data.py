@@ -35,11 +35,7 @@ class IdxConsistencyError(ValueError):
 
 def build_class_index(observed_labels: np.ndarray, num_classes: int) -> list[np.ndarray]:
     """Sorted sample indices per observed class."""
-    order = np.argsort(observed_labels, kind="stable")
-    return [
-        np.sort(order[observed_labels[order] == c]).astype(np.int64)
-        for c in range(num_classes)
-    ]
+    return [np.flatnonzero(observed_labels == c) for c in range(num_classes)]
 
 
 @dataclass
@@ -217,6 +213,14 @@ def read_exact(f, size: int, path) -> bytes:
     return chunk
 
 
+def read_end(f, path) -> None:
+    """Raise unless binary file `f` has no bytes past what was read."""
+    end = f.tell()
+    if f.read(1):
+        raise ValueError(f"trailing bytes in {path}: {f.seek(0, 2) - end} "
+                         f"past the payload's end at offset {end}")
+
+
 def load_dataset(path) -> Dataset:
     with open(path, "rb") as f:
         magic = f.read(len(CONTAINER_MAGIC))
@@ -225,12 +229,15 @@ def load_dataset(path) -> Dataset:
         version, flags = struct.unpack("<II", read_exact(f, 8, path))
         if version != CONTAINER_VERSION:
             raise ValueError(f"load_dataset: unsupported version {version} in {path}")
+        if flags & ~1:
+            raise ValueError(f"load_dataset: unknown flag bits {flags & ~1:#x} in {path}")
         n, d, c = struct.unpack("<QQQ", read_exact(f, 24, path))
         features = np.frombuffer(read_exact(f, n * d * 8, path), dtype="<f8").reshape(n, d).copy()
         observed = np.frombuffer(read_exact(f, n, path), dtype=np.uint8).astype(np.int64)
         true = None
         if flags & 1:
             true = np.frombuffer(read_exact(f, n, path), dtype=np.uint8).astype(np.int64)
+        read_end(f, path)
         return Dataset(features, observed, int(c), true_labels=true)
 
 

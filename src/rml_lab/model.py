@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, read_exact
+from .data import Dataset, read_end, read_exact
 from .numerics import LOSS_FLOOR, RngStream, softmax
 
 CHECKPOINT_MAGIC = b"RMLCKPT\x01"
@@ -253,12 +253,24 @@ def load_checkpoint(path) -> ModelState:
         tag, dim, num_classes, hidden = struct.unpack("<BIII", read_exact(f, 13, path))
         if tag not in _TAG_ARCHS:
             raise ValueError(f"load_checkpoint: unknown architecture tag {tag} in {path}")
+        arch = _TAG_ARCHS[tag]
+        if arch == "linear":
+            shapes = [(dim, num_classes), (num_classes,)]
+        else:
+            shapes = [(dim, hidden), (hidden,), (hidden, num_classes), (num_classes,)]
         (n_params,) = struct.unpack("<I", read_exact(f, 4, path))
+        if n_params != len(shapes):
+            raise ValueError(f"load_checkpoint: {path} holds {n_params} arrays, "
+                             f"its {arch} header gives {len(shapes)}")
         params = []
-        for _ in range(n_params):
+        for i, want in enumerate(shapes):
             (ndim,) = struct.unpack("<B", read_exact(f, 1, path))
             shape = struct.unpack(f"<{ndim}I", read_exact(f, 4 * ndim, path))
-            count = int(np.prod(shape)) if ndim else 1
-            params.append(np.frombuffer(read_exact(f, 8 * count, path),
+            if shape != want:
+                raise ValueError(f"load_checkpoint: array {i} of {path} has shape {shape}, "
+                                 f"its header (dim {dim}, classes {num_classes}, "
+                                 f"hidden {hidden}) gives {want}")
+            params.append(np.frombuffer(read_exact(f, 8 * int(np.prod(shape)), path),
                                         dtype="<f8").reshape(shape).copy())
-        return ModelState(_TAG_ARCHS[tag], params, dim, num_classes, hidden)
+        read_end(f, path)
+        return ModelState(arch, params, dim, num_classes, hidden)

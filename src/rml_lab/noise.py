@@ -122,8 +122,8 @@ def inject_instance_dependent(dataset: Dataset, rate: float, rng: RngStream) -> 
 
     q = _flip_probabilities(u_flip, rate)
     new_labels = np.empty(n, dtype=np.int64)
-    for rows in dataset.class_index:
-        cdf = instance_flip_distribution(x[rows], dataset.observed_labels[rows], q[rows], proj)
+    for label, rows in enumerate(dataset.class_index):
+        cdf = instance_flip_distribution(x[rows], label, q[rows], proj)
         np.cumsum(cdf, axis=1, out=cdf)
         cdf[:, -1] = 1.0
         new_labels[rows] = (u_target[rows, None] >= cdf).sum(axis=1)
@@ -164,25 +164,19 @@ def _flip_probabilities(u: np.ndarray, rate: float) -> np.ndarray:
     return np.clip(rate + INSTANCE_FLIP_STDEV * z, 0.0, 1.0)
 
 
-def instance_flip_distribution(x: np.ndarray, labels: np.ndarray, q: np.ndarray,
+def instance_flip_distribution(x: np.ndarray, label: int, q: np.ndarray,
                                proj: np.ndarray) -> np.ndarray:
-    """Per-sample label transition rows: q_i * softmax of the sample's
-    class-projection scores with the current class masked out, plus 1 - q_i
-    staying mass.  A deterministic function of (features, label, q)."""
-    n, c = labels.shape[0], proj.shape[0]
-    transition = np.empty((n, c))
-    for cls in range(c):
-        rows = labels == cls
-        if not rows.any():
-            continue
-        scores = x[rows] @ proj[cls]
-        scores[:, cls] = -np.inf
-        # softmax with one -inf column: exp(-inf) = 0 is what we want.
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        expd = np.exp(shifted)
-        transition[rows] = expd / expd.sum(axis=1, keepdims=True)
+    """Label transition rows of samples of class `label`: q_i * softmax of
+    the sample's class-projection scores with `label` masked out, plus
+    1 - q_i staying mass.  A deterministic function of (features, label, q)."""
+    scores = x @ proj[label]
+    scores[:, label] = -np.inf
+    # softmax with one -inf column: exp(-inf) = 0 is what we want.
+    scores -= scores.max(axis=1, keepdims=True)
+    expd = np.exp(scores)
+    transition = expd / expd.sum(axis=1, keepdims=True)
     transition *= q[:, None]
-    transition[np.arange(n), labels] = 1.0 - q
+    transition[:, label] = 1.0 - q
     return transition
 
 

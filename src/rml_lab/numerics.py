@@ -2,11 +2,11 @@
 weighted sampling, and reproducible counter-based random streams.
 
 Everything here is pure given its inputs.  Random functions take an explicit
-RngStream; two streams built from the same (seed, stream_id) replay the same
-sequence bit for bit, across runs and machines.  Per-index child streams
-(stream.child(i)) can also be drawn in bulk: `child_random` and
-`child_integers` run Philox4x64-10 in numpy over many children at once and
-give, row by row, the bytes each child's own generator gives.
+RngStream, numpy's Philox keyed by (seed, stream_id) or by `child(i)` of one:
+a key replays the same sequence bit for bit, across runs and machines, and
+rows read in order give the same values however they are chunked.  The noise
+injectors draw per-index children in bulk: `child_random` and
+`child_integers` run Philox4x64-10 in numpy and give each child's own bytes.
 """
 
 from __future__ import annotations
@@ -139,25 +139,6 @@ def child_integers(stream: "RngStream", indices, high: int, skip: int) -> np.nda
     return values
 
 
-def _philox_state(seed: int, stream_id: int) -> dict:
-    """A fresh Philox state keyed by [seed, stream_id], at counter 0.
-
-    Assigning it to `Philox.state` is bit-identical to
-    Philox(key=[seed, stream_id]) and much cheaper: the keyed constructor
-    still gathers OS entropy for a SeedSequence it never uses, which
-    dominates the cost of creating many small child streams.
-    """
-    return {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed, stream_id], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 class RngStream:
     """Counter-based random stream: Philox keyed by (seed, stream_id).
 
@@ -178,9 +159,8 @@ class RngStream:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            bg = np.random.Philox(seed=0)
-            bg.state = _philox_state(self.seed, self.stream_id)
-            self._gen = np.random.Generator(bg)
+            key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+            self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen
 
     def child(self, index: int) -> "RngStream":

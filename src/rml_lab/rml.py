@@ -42,9 +42,10 @@ from .numerics import (
 )
 
 ESTIMATORS = ("median", "mean")
-# Elements per (rows, class size) array of a refresh chunk, 512 KB of float64:
-# 163 rows of a 400-sample class, 10 of a 6 000 one.  Chunking never moves a
-# byte (each class's streams are read in row order), so it only caps memory.
+# Elements per array of a chunk of rows, 512 KB of float64: a refresh chunk
+# holds 163 rows of a 400-sample class, 10 of a 6 000 one; verify's prop1 and
+# prop2 chunk their trials by it too.  Every user reads its streams in row
+# order, so chunking never moves a byte and only caps memory.
 BUDGET = 1 << 16
 
 

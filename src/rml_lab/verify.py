@@ -26,12 +26,7 @@ import numpy as np
 from . import rml
 from .data import Dataset
 from .noise import corruption_mask
-from .numerics import RngStream, child_random
-
-# Draws per check_prop2 chunk.  Chunk c draws from rng.child(c), so its row
-# count, PROP2_CHUNK // (n*k + 1), is part of the stream key: changing it
-# changes every prop2 report.
-PROP2_CHUNK = 1 << 18
+from .numerics import RngStream
 
 
 def deviation_bound(n: int, k: int, variance: float, epsilon_r: float) -> tuple[float, float]:
@@ -52,23 +47,20 @@ def check_prop1(trials: int, m: int, rng: RngStream,
     For every pool, the log-probability change of each sample must equal
     l*(l + eps - 1) - beta (computed through two independent float paths),
     the pool constant beta must be positive, and the sign of the change must
-    flip exactly where l^2 crosses beta.  Pool t is drawn from rng.child(t),
-    so the report does not depend on chunking; pools are rows, checked in
-    chunks of at most rml.BUDGET losses to bound memory.
+    flip exactly where l^2 crosses beta.  Pool t is row t of rng's uniforms,
+    read in order, so the report does not depend on chunking; pools are
+    checked in chunks of at most rml.BUDGET losses to bound memory.
     """
     if trials < 1:
         raise ValueError("check_prop1: trials must be >= 1")
     if m < 2:
         raise ValueError("check_prop1: need m >= 2")
-    low, high = loss_range
     step = max(1, rml.BUDGET // m)
     max_residual = 0.0
     beta_positive = True
     sign_violations = 0
     for start in range(0, trials, step):
-        # rng.child(t).uniform(low, high, m) for every pool t of the chunk.
-        pools = np.arange(start, min(start + step, trials))
-        losses = low + (high - low) * child_random(rng, pools, m)
+        losses = rng.uniform(*loss_range, (min(step, trials - start), m))
         shift, beta = rml.probability_shift(losses, epsilon_bias)
         beta = beta[:, None]
         closed = losses * (losses + epsilon_bias - 1.0) - beta
@@ -110,9 +102,10 @@ def check_prop2(trials: int, rng: RngStream, n: int = 6, k: int = 10,
     loss-processing bias, and scale=0 makes the population a point mass.
     One-sided: the bound is loose by construction, so acceptance is
     rate <= bound + 3 binomial standard errors.  Vacuous-bound
-    configurations are reported, not failed.  Trials are rows, in chunks of
-    PROP2_CHUNK // (n*k + 1) rows; chunk c draws from rng.child(c), so the
-    chunk size is part of the stream key and fixed."""
+    configurations are reported, not failed.  Trial t is row t of
+    rng.child(0)'s normals and of rng.child(1)'s regroup uniforms, read in
+    order, in chunks of at most rml.BUDGET draws, so chunking only bounds
+    memory."""
     if trials < 1:
         raise ValueError("check_prop2: trials must be >= 1")
     if epsilon_r <= 0:
@@ -121,12 +114,12 @@ def check_prop2(trials: int, rng: RngStream, n: int = 6, k: int = 10,
     bound, margin = deviation_bound(n, k, var, epsilon_r)
     vacuous = margin <= 0
     draw = n * k + 1
-    step = max(1, PROP2_CHUNK // draw)
+    step = max(1, rml.BUDGET // draw)
+    values_rng, regroup_rng = rng.child(0), rng.child(1)
     exceed = 0
-    for chunk, start in enumerate(range(0, trials, step)):
-        tr = rng.child(chunk)
-        values = tr.normal(loc, scale, (min(step, trials - start), draw))
-        estimates = mom_estimate(values, n, k, tr)
+    for start in range(0, trials, step):
+        values = values_rng.normal(loc, scale, (min(step, trials - start), draw))
+        estimates = mom_estimate(values, n, k, regroup_rng)
         exceed += int(np.count_nonzero(np.abs(estimates - loc) > epsilon_r))
     rate = exceed / trials
     stderr = math.sqrt(max(rate * (1 - rate), 0.0) / trials)

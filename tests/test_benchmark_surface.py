@@ -5,21 +5,28 @@ refresh check unpacks `rml.refresh_cache`'s call arguments 1 and 2 as the
 dataset and the model.  `spans.py` counts the rows of `model.forward` and
 `model.loss_and_grad` as the length of call argument 1, the features.  A
 rename, deletion or changed signature would break benchmark runs; these tests
-fail first instead."""
+fail first instead.  Each workload's set-up also runs here as the benchmark
+runs it, in a subprocess, so a break in the calls it makes fails here too."""
 
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rml_lab import model, rml
 from rml_lab.numerics import RngStream
 from rml_lab.verify import check_prop1
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def _load(name, monkeypatch):
@@ -53,3 +60,15 @@ def test_refresh_cache_takes_dataset_and_model_second_and_third():
 def test_row_counted_functions_take_features_second():
     for fn in (model.forward, model.loss_and_grad):
         assert list(inspect.signature(fn).parameters)[1] == "features"
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_setup_runs(workload):
+    # -B keeps bytecode out of perfbench/.
+    done = subprocess.run(
+        [sys.executable, "-B", "perfbench/run.py", "--setup-only", "--smoke",
+         "--workload", workload, "--seed", "0"],
+        cwd=ROOT, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    float(done.stdout)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,23 @@ class TestContainer:
             path.write_bytes(whole[:keep])
             with pytest.raises(ValueError, match="truncated file .*data.rmld"):
                 load_dataset(path)
+
+    def test_trailing_bytes_name_file(self, tmp_path):
+        path = tmp_path / "data.rmld"
+        save_dataset(make_blobs(2, 5, 2, 5.0, RngStream(12)), path)
+        path.write_bytes(path.read_bytes() + bytes(7))
+        with pytest.raises(ValueError, match="trailing bytes in .*data.rmld: 7 past"):
+            load_dataset(path)
+
+    def test_unknown_flags_name_file(self, tmp_path):
+        # The flags word follows the 8-byte magic and the version.
+        path = tmp_path / "data.rmld"
+        save_dataset(make_blobs(2, 5, 2, 5.0, RngStream(12)), path)
+        whole = bytearray(path.read_bytes())
+        whole[12:16] = struct.pack("<I", 6)
+        path.write_bytes(bytes(whole))
+        with pytest.raises(ValueError, match="unknown flag bits 0x6 in .*data.rmld"):
+            load_dataset(path)
 
 
 class TestSplit:

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -388,3 +389,31 @@ class TestCheckpoint:
             path.write_bytes(whole[:keep])
             with pytest.raises(ValueError, match="truncated file .*m.ckpt"):
                 load_checkpoint(path)
+
+    def test_header_shape_mismatch_names_file(self, tmp_path):
+        # The header's dim (bytes 9-12) says 8 over a (4, 16) w1.
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model("mlp", 4, 3, RngStream(12), hidden=16), path)
+        whole = bytearray(path.read_bytes())
+        whole[9:13] = struct.pack("<I", 8)
+        path.write_bytes(bytes(whole))
+        with pytest.raises(ValueError, match=r"array 0 of .*m.ckpt has shape \(4, 16\), its "
+                                             r"header \(dim 8, .*\) gives \(8, 16\)"):
+            load_checkpoint(path)
+
+    def test_array_count_mismatch_names_file(self, tmp_path):
+        # A linear tag over an mlp's four arrays.
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model("mlp", 4, 3, RngStream(12), hidden=16), path)
+        whole = bytearray(path.read_bytes())
+        whole[8] = 0
+        path.write_bytes(bytes(whole))
+        with pytest.raises(ValueError, match="m.ckpt holds 4 arrays, its linear header gives 2"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_name_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model("linear", 5, 3, RngStream(12)), path)
+        path.write_bytes(path.read_bytes() + b"\0\0")
+        with pytest.raises(ValueError, match="trailing bytes in .*m.ckpt: 2 past"):
+            load_checkpoint(path)

@@ -142,10 +142,9 @@ class TestInstanceDependent:
 
     def test_identical_features_same_distribution(self):
         x = np.tile(np.array([[0.3, -1.2, 0.7]]), (2, 1))
-        labels = np.array([1, 1])
         q = np.array([0.4, 0.4])
         proj = np.random.default_rng(3).normal(size=(3, 3, 3))
-        rows = instance_flip_distribution(x, labels, q, proj)
+        rows = instance_flip_distribution(x, 1, q, proj)
         np.testing.assert_array_equal(rows[0], rows[1])
         assert rows[0, 1] == pytest.approx(0.6)
         assert rows.sum(axis=1) == pytest.approx([1.0, 1.0])

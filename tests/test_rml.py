@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -239,6 +240,54 @@ def _spy_draws(monkeypatch, pool):
     monkeypatch.setattr(rml, "_race_draw", race_spy)
     monkeypatch.setattr(rml, "regroup_median", median_spy)
     return seen
+
+
+def _successive_sampling(weights, count):
+    """Exact first-order and pairwise inclusion probabilities of `count`
+    successive draws without replacement, each with probability
+    proportional to `weights` among the columns not yet drawn, summed over
+    every ordered draw (Efraimidis & Spirakis, IPL 2006)."""
+    first, pair = np.zeros(len(weights)), np.zeros((len(weights), len(weights)))
+    for order in itertools.permutations(range(len(weights)), count):
+        p, left = 1.0, weights.sum()
+        for j in order:
+            p *= weights[j] / left
+            left -= weights[j]
+        first[list(order)] += p
+        pair[np.ix_(order, order)] += p
+    return first, pair
+
+
+class TestRefreshSampler:
+    def test_draws_follow_successive_sampling(self, monkeypatch):
+        # Six candidates, and 1 994 samples at loss 40 whose weight
+        # exp(-40 * 41) is 0: every row of those 1 994 draws n*k = 4 of the
+        # six, in 60 refreshes' streams.  Its draws must include each
+        # candidate, and each pair, at the exact successive-sampling rate.
+        candidates = np.linspace(0.05, 1.3, 6)
+        ds, losses = _cache_dataset([np.concatenate([candidates, np.full(1994, 40.0)])])
+        draws = []
+
+        def race_spy(u, w, count):
+            picked = _race_draw(u, w, count)
+            # A candidate's own row gives its own column a zero uniform.
+            draws.append(picked[np.all(u[:, :6] > 0, axis=1)])
+            return picked
+
+        monkeypatch.setattr(rml, "_race_draw", race_spy)
+        for index in range(60):
+            regroup_estimates(losses, ds, RegroupParams(n=2, k=2), RngStream(0).child(index))
+        draws = np.concatenate(draws)
+        assert draws.shape == (60 * 1994, 4) and draws.max() < 6
+        hits = np.zeros((len(draws), 6), dtype=bool)
+        hits[np.arange(len(draws))[:, None], draws] = True
+        first, pair = _successive_sampling(np.exp(-processed_loss(candidates, 1.0)), 4)
+        pairs = list(itertools.combinations(range(6), 2))
+        seen = np.concatenate([hits.mean(axis=0),
+                               [np.mean(hits[:, i] & hits[:, j]) for i, j in pairs]])
+        exact = np.concatenate([first, [pair[i, j] for i, j in pairs]])
+        z = (seen - exact) / np.sqrt(exact * (1 - exact) / len(draws))
+        assert np.max(np.abs(z)) < 5
 
 
 class TestEstimateForSample:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rml_lab import rml
+from rml_lab import rml, verify
 from rml_lab.data import Dataset
 from rml_lab.numerics import RngStream, softmax
 from rml_lab.rml import (
@@ -24,14 +24,13 @@ from rml_lab.verify import (
 
 def _reference_prop1(trials, m, rng, loss_range=(0.0, 30.0), epsilon_bias=1.0,
                      tolerance=1e-9):
-    """check_prop1 one pool at a time, as the per-pool loop computed it: the
-    oracle for the chunked report."""
+    """check_prop1 one pool at a time, pool t being row t of rng's uniforms:
+    the oracle for the chunked report."""
     low, high = loss_range
     max_residual = 0.0
     beta_positive = True
     sign_violations = 0
-    for t in range(trials):
-        losses = rng.child(t).uniform(low, high, m)
+    for losses in rng.uniform(low, high, (trials, m)):
         shift, beta = rml.probability_shift(losses, epsilon_bias)
         closed = losses * (losses + epsilon_bias - 1.0) - beta
         max_residual = max(max_residual, float(np.max(np.abs(shift - closed))))
@@ -63,9 +62,9 @@ class TestCheckProp1:
         assert report == _reference_prop1(3000, 100, RngStream(0, 5),
                                           epsilon_bias=epsilon_bias)
 
-    def test_pools_are_rows_of_child_streams(self, monkeypatch):
-        # Pool t is rng.child(t)'s draw, bit for bit, and each chunk is one
-        # row-wise probability_shift call: a budget of 700 losses makes
+    def test_pools_are_rows_of_one_stream(self, monkeypatch):
+        # Pool t is row t of rng's uniforms, bit for bit, and each chunk is
+        # one row-wise probability_shift call: a budget of 700 losses makes
         # chunks of 7 pools, the last of 3.
         monkeypatch.setattr(rml, "BUDGET", 700)
         seen = []
@@ -77,9 +76,8 @@ class TestCheckProp1:
         monkeypatch.setattr(rml, "probability_shift", spy)
         check_prop1(45, 100, RngStream(0, 5))
         assert [len(chunk) for chunk in seen] == [7] * 6 + [3]
-        np.testing.assert_array_equal(
-            np.concatenate(seen),
-            [RngStream(0, 5).child(t).uniform(0.0, 30.0, 100) for t in range(45)])
+        np.testing.assert_array_equal(np.concatenate(seen),
+                                      RngStream(0, 5).uniform(0.0, 30.0, (45, 100)))
 
     def test_small_run_passes(self):
         report = check_prop1(500, 100, RngStream(0, 5))
@@ -158,12 +156,60 @@ class TestCheckProp2:
         assert report["pass"]
         assert report["statistic"] <= report["bound"]
 
-    def test_chunks_do_not_follow_the_refresh_budget(self, monkeypatch):
-        # Chunk c draws from rng.child(c), so prop2's chunk size keys its
-        # stream: shrinking the memory budget of other passes must not move it.
-        want = check_prop2(20_000, RngStream(6, 9), n=6, k=10, epsilon_r=0.4)
-        monkeypatch.setattr(rml, "BUDGET", 700)
-        assert check_prop2(20_000, RngStream(6, 9), n=6, k=10, epsilon_r=0.4) == want
+    @staticmethod
+    def _spied_prop2(monkeypatch, budget):
+        # check_prop2's report, the value rows mom_estimate received and the
+        # regroup permutations regroup_median received, under `budget`.
+        monkeypatch.setattr(rml, "BUDGET", budget)
+        values, perms = [], []
+
+        def estimate_spy(samples, n, k, rng):
+            values.append(samples.copy())
+            return mom_estimate(samples, n, k, rng)
+
+        def median_spy(own, drawn, params, perm):
+            perms.append(perm.copy())
+            return regroup_median(own, drawn, params, perm)
+
+        monkeypatch.setattr(verify, "mom_estimate", estimate_spy)
+        monkeypatch.setattr(rml, "regroup_median", median_spy)
+        report = check_prop2(2_000, RngStream(6, 9), n=6, k=10, epsilon_r=0.4)
+        return report, values, perms
+
+    def test_rows_do_not_depend_on_the_budget(self, monkeypatch):
+        # Trial t is row t of rng.child(0)'s normals and of rng.child(1)'s
+        # regroup uniforms, so the default budget (chunks of 1 074 trials)
+        # and a budget of 700 draws (chunks of 11) read the same rows.
+        want = self._spied_prop2(monkeypatch, rml.BUDGET)
+        got = self._spied_prop2(monkeypatch, 700)
+        assert [len(chunk) for chunk in want[1]] == [1_074, 926]
+        assert [len(chunk) for chunk in got[1]] == [11] * 181 + [9]
+        assert got[0] == want[0]
+        rng = RngStream(6, 9)
+        for rows, expected in ((want[1], rng.child(0).normal(1.0, 1.0, (2_000, 61))),
+                               (got[1], rng.child(0).normal(1.0, 1.0, (2_000, 61))),
+                               (want[2], np.argsort(rng.child(1).random((2_000, 60)), axis=1)),
+                               (got[2], np.argsort(rng.child(1).random((2_000, 60)), axis=1))):
+            np.testing.assert_array_equal(np.concatenate(rows), expected)
+
+    @pytest.mark.parametrize("epsilon_r,exact", [(0.4, 1.370e-2), (0.5, 2.196e-3)])
+    def test_rate_matches_the_exact_rate(self, epsilon_r, exact):
+        # The estimate exceeds loc + eps iff at least n/2 + 1 of its n + 1
+        # median inputs do: each of n group means with p1, the own draw with
+        # p2 (David & Nagaraja, Order Statistics, 2003).  Twice that, by
+        # symmetry, is the exact two-sided rate.
+        n, k, trials = 6, 10, 100_000
+        p1 = 0.5 * math.erfc(epsilon_r * math.sqrt(k) / math.sqrt(2))
+        p2 = 0.5 * math.erfc(epsilon_r / math.sqrt(2))
+
+        def at_least(j):
+            return sum(math.comb(n, i) * p1 ** i * (1 - p1) ** (n - i) for i in range(j, n + 1))
+
+        rate = 2 * (p2 * at_least(n // 2) + (1 - p2) * at_least(n // 2 + 1))
+        assert rate == pytest.approx(exact, rel=1e-3)
+        report = check_prop2(trials, RngStream(0, 6), n=n, k=k, epsilon_r=epsilon_r)
+        z = (report["statistic"] - rate) / math.sqrt(rate * (1 - rate) / trials)
+        assert abs(z) < 5
 
     def test_vacuous_configuration_reported(self):
         report = check_prop2(10, RngStream(7, 9), n=2, k=1, epsilon_r=0.5,
