@@ -107,7 +107,8 @@ def make_blobs(num_classes: int, per_class: int, dim: int, separation: float,
         raise ValueError("make_blobs: degenerate center draw")
     centers = centers * (separation / min_dist)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
-    features = centers[labels] + rng.normal(size=(labels.size, dim))
+    features = centers[labels]
+    features += rng.normal(size=(labels.size, dim))
     return Dataset(features, labels, num_classes, true_labels=labels.copy())
 
 

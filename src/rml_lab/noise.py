@@ -4,10 +4,12 @@ Each injector maps a dataset to a new dataset with corrupted observed labels;
 true labels and features are untouched and the per-class index is rebuilt.
 Per-sample randomness is keyed by sample index: sample i draws from
 rng.child(i), so extending a dataset never changes the fate of earlier
-samples.  All children are drawn at once by the bulk kernel in `numerics`,
-with the bytes each child stream gives on its own.  The instance-dependent
-injector builds its transition rows one class at a time, so its working set
-is a class's (rows, classes) array, never the whole data set's.
+samples.  The children are computed in passes by the bulk kernel in
+`numerics`, with the bytes each child stream gives on its own.  The
+instance-dependent injector does all its per-sample work one class at a
+time (the class's child draws, flip probabilities, standardized features
+and transition rows), so its working set is a class's, never the whole
+data set's.
 """
 
 from __future__ import annotations
@@ -113,20 +115,18 @@ def inject_instance_dependent(dataset: Dataset, rate: float, rng: RngStream) -> 
     n, d = dataset.features.shape
     c = dataset.num_classes
     mean, std = feature_stats(dataset.features)
-    x = (dataset.features - mean) / std
 
     # Projections first, from the parent stream, so per-sample substreams
     # stay index-keyed: sample i draws (u_flip, u_target) from rng.child(i).
     proj = rng.normal(size=(c, d, c))
-    u_flip, u_target = child_random(rng, np.arange(n), 2).T
-
-    q = _flip_probabilities(u_flip, rate)
     new_labels = np.empty(n, dtype=np.int64)
     for label, rows in enumerate(dataset.class_index):
-        cdf = instance_flip_distribution(x[rows], label, q[rows], proj)
+        u_flip, u_target = child_random(rng, rows, 2).T
+        x = (dataset.features[rows] - mean) / std
+        cdf = instance_flip_distribution(x, label, _flip_probabilities(u_flip, rate), proj)
         np.cumsum(cdf, axis=1, out=cdf)
         cdf[:, -1] = 1.0
-        new_labels[rows] = (u_target[rows, None] >= cdf).sum(axis=1)
+        new_labels[rows] = (u_target[:, None] >= cdf).sum(axis=1)
     return dataset.with_observed_labels(new_labels)
 
 

@@ -6,7 +6,8 @@ RngStream, numpy's Philox keyed by (seed, stream_id) or by `child(i)` of one:
 a key replays the same sequence bit for bit, across runs and machines, and
 rows read in order give the same values however they are chunked.  The noise
 injectors draw per-index children in bulk: `child_random` and
-`child_integers` run Philox4x64-10 in numpy and give each child's own bytes.
+`child_integers` run Philox4x64-10 in numpy, in passes of at most
+_PHILOX_LANES blocks, and give each child's own bytes.
 """
 
 from __future__ import annotations
@@ -72,34 +73,42 @@ def _philox4x64(counter: np.ndarray, key0: int, key1: np.ndarray) -> np.ndarray:
     return np.stack([c0, c1, c2, c3], axis=1)
 
 
-def _child_words(stream: "RngStream", indices, count: int) -> np.ndarray:
-    """Row r holds the first `count` 64-bit words of stream.child(indices[r]).
+def _child_passes(stream: "RngStream", indices, count: int):
+    """Yield (start, words) per pass: row r of words holds the first `count`
+    64-bit words of stream.child(indices[start + r]).
 
     numpy's Philox steps its counter before it generates, so a fresh stream's
     word j sits in the block at counter j // 4 + 1.  Every block is computed
-    on its own, at most _PHILOX_LANES per pass.
+    on its own, so a pass of at most _PHILOX_LANES blocks, child ids
+    included, gives the bytes a whole-array pass would.
     """
-    ids = _child_id(stream.stream_id, indices)
+    indices = np.asarray(indices)
     blocks = -(-count // 4)
     rows = max(1, _PHILOX_LANES // blocks)
-    counter = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), min(rows, ids.size))
-    out = np.empty((ids.size, count), dtype=np.uint64)
-    for start in range(0, ids.size, rows):
-        key1 = np.repeat(ids[start:start + rows], blocks)
+    counter = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), min(rows, indices.size))
+    for start in range(0, indices.size, rows):
+        key1 = np.repeat(_child_id(stream.stream_id, indices[start:start + rows]), blocks)
         words = _philox4x64(counter[:key1.size], stream.seed, key1)
-        out[start:start + rows] = words.reshape(-1, blocks * 4)[:, :count]
+        yield start, words.reshape(-1, blocks * 4)[:, :count]
+
+
+def _child_words(stream: "RngStream", indices, count: int) -> np.ndarray:
+    """Row r holds the first `count` 64-bit words of stream.child(indices[r])."""
+    out = np.empty((np.size(indices), count), dtype=np.uint64)
+    for start, words in _child_passes(stream, indices, count):
+        out[start:start + len(words)] = words
     return out
 
 
 def child_random(stream: "RngStream", indices, count: int) -> np.ndarray:
-    """Row r is stream.child(indices[r]).random(count), bit for bit, for all
-    rows at once: numpy's doubles (w >> 11) * 2**-53 of each child's words."""
-    words = _child_words(stream, indices, count)
-    # In place: at 10^5 children a fresh array per step raises peak RSS.
-    words >>= np.uint64(11)
-    doubles = words.astype(np.float64)
-    doubles *= 2.0 ** -53
-    return doubles
+    """Row r is stream.child(indices[r]).random(count), bit for bit: numpy's
+    doubles (w >> 11) * 2**-53 of each child's words, one pass at a time."""
+    out = np.empty((np.size(indices), count))
+    for start, words in _child_passes(stream, indices, count):
+        block = out[start:start + len(words)]
+        block[...] = words >> np.uint64(11)
+        block *= 2.0 ** -53
+    return out
 
 
 def _lemire(words: np.ndarray, high: int) -> tuple[np.ndarray, np.ndarray]:
@@ -118,24 +127,28 @@ def _lemire(words: np.ndarray, high: int) -> tuple[np.ndarray, np.ndarray]:
 
 def child_integers(stream: "RngStream", indices, high: int, skip: int) -> np.ndarray:
     """Entry r is what stream.child(indices[r]).integers(0, high) gives after
-    `skip` words were drawn from that child (one per random() value), for all
-    rows at once; 1 <= high < 2**32.
+    `skip` words were drawn from that child (one per random() value);
+    1 <= high < 2**32.  Runs one pass of at most _PHILOX_LANES rows at a time.
 
     The draw reads the three words after the skipped ones; a row whose six
     halves are all rejected (p < 1e-38 for high <= 1000) reads on, one more
     block at a time.
     """
+    if not 1 <= high < 1 << 32:
+        raise ValueError(f"child_integers: high must be in [1, 2**32), got {high}")
     indices = np.asarray(indices)
     values = np.zeros(indices.size, dtype=np.int64)
     if high == 1:
         return values   # numpy returns low without drawing
-    todo = np.arange(indices.size)
-    count = skip + 3
-    while todo.size:
-        drawn_values, drawn = _lemire(_child_words(stream, indices[todo], count)[:, skip:], high)
-        values[todo[drawn]] = drawn_values[drawn]
-        todo = todo[~drawn]
-        count += 4
+    for start in range(0, indices.size, _PHILOX_LANES):
+        todo = np.arange(start, min(start + _PHILOX_LANES, indices.size))
+        count = skip + 3
+        while todo.size:
+            drawn_values, drawn = _lemire(_child_words(stream, indices[todo], count)[:, skip:],
+                                          high)
+            values[todo[drawn]] = drawn_values[drawn]
+            todo = todo[~drawn]
+            count += 4
     return values
 
 
@@ -231,6 +244,9 @@ def _race_draw(u: np.ndarray, w: np.ndarray, count: int) -> np.ndarray:
     """
     with np.errstate(divide="ignore", over="ignore"):
         keys = -np.log(u) / w
-    picked = np.argpartition(keys, count - 1, axis=1)[:, :count]
-    order = np.argsort(np.take_along_axis(keys, picked, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(picked, order, axis=1)
+    # Gathers by flat index: row r's entries sit at r * m + column.
+    m = keys.shape[1]
+    row_offsets = np.arange(0, keys.size, m)[:, None]
+    part = np.argpartition(keys, count - 1, axis=1)
+    order = np.argsort(keys.ravel()[part[:, :count] + row_offsets], axis=1, kind="stable")
+    return part.ravel()[order + row_offsets]

@@ -141,7 +141,8 @@ def regroup_median(own: np.ndarray, selected: np.ndarray, params: RegroupParams,
                          f"({rows}, {n * k}); got {own.shape}, {selected.shape}, {perm.shape}")
     if params.estimator == "mean":
         return selected.mean(axis=1)
-    means = np.take_along_axis(selected, perm, axis=1).reshape(rows, n, k).mean(axis=2)
+    row_offsets = np.arange(0, selected.size, n * k)[:, None]
+    means = selected.ravel()[perm + row_offsets].reshape(rows, n, k).mean(axis=2)
     # n+1 values, odd count: the exact middle order statistic, by partition.
     pool = np.concatenate([means, own[:, None]], axis=1)
     return np.partition(pool, n // 2, axis=1)[:, n // 2]

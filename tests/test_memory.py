@@ -10,8 +10,8 @@ import pytest
 
 from rml_lab import model as model_ops
 from rml_lab.data import Dataset, make_blobs
-from rml_lab.noise import inject_instance_dependent
-from rml_lab.numerics import RngStream, softmax
+from rml_lab.noise import inject_instance_dependent, inject_pairflip, inject_symmetric
+from rml_lab.numerics import RngStream, child_random, softmax
 from rml_lab.rml import RegroupParams, regroup_estimates
 from rml_lab.verify import check_prop1
 
@@ -73,8 +73,29 @@ def test_prop1_chunks_its_pools():
     assert peak < 8 * MB
 
 
-def test_instance_dependent_works_class_by_class():
-    # 10^5 samples of 10 classes: no (N, C) transition or cdf array.
-    clean = make_blobs(10, 10_000, 4, 6.0, RngStream(0, 1))
-    peak, _ = traced_call(lambda: inject_instance_dependent(clean, 0.3, RngStream(0, 24)))
-    assert peak < 16 * MB
+@pytest.fixture(scope="module")
+def blobs_1e5():
+    return make_blobs(10, 10_000, 4, 6.0, RngStream(0, 1))
+
+
+def test_instance_dependent_works_class_by_class(blobs_1e5):
+    # 10^5 samples of 10 classes: no (N, C) transition or cdf array, and no
+    # whole-N uniforms, flip probabilities or standardized features (4.5 MB
+    # here against 11.2 MB with them).
+    peak, _ = traced_call(lambda: inject_instance_dependent(blobs_1e5, 0.3, RngStream(0, 24)))
+    assert peak < 6 * MB
+
+
+@pytest.mark.parametrize("inject, rate", [(inject_symmetric, 0.2), (inject_pairflip, 0.45)])
+def test_flip_injectors_draw_children_in_passes(blobs_1e5, inject, rate):
+    # 3.7 MB here; child words and ids for all 10^5 samples at once give 4.7.
+    peak, _ = traced_call(lambda: inject(blobs_1e5, rate, RngStream(0, 21)))
+    assert peak < 4 * MB
+
+
+def test_child_random_converts_pass_by_pass():
+    # The (10^5, 2) float64 output is 1.5 MB: 2.9 MB here, 3.7 MB with a
+    # whole (10^5, 2) uint64 word array beside it.
+    indices = np.arange(10 ** 5)
+    peak, _ = traced_call(lambda: child_random(RngStream(0, 3), indices, 2))
+    assert peak < 3.3 * MB

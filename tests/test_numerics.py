@@ -9,6 +9,7 @@ from rml_lab.model import per_sample_ce
 from rml_lab.numerics import (
     RACE_MIN_WEIGHT,
     RngStream,
+    _PHILOX_LANES,
     _lemire,
     _race_draw,
     child_integers,
@@ -203,6 +204,24 @@ class TestChildKernel:
         expected = [scalar(i) for i in range(2_000)]
         np.testing.assert_array_equal(child_integers(base, np.arange(2_000), high, skip=1),
                                       expected)
+
+    def test_integers_across_passes(self):
+        # More indices than one pass holds, so the draw crosses pass edges.
+        base = RngStream(8, 13)
+        indices = np.arange(2 * _PHILOX_LANES + 37)
+
+        def scalar(i):
+            gen = base.child(i).generator
+            gen.random()
+            return gen.integers(0, 9)
+
+        np.testing.assert_array_equal(child_integers(base, indices, 9, skip=1),
+                                      [scalar(i) for i in indices.tolist()])
+
+    @pytest.mark.parametrize("high", [0, -1, 2**32, 2**32 + 5])
+    def test_integers_reject_high_out_of_range(self, high):
+        with pytest.raises(ValueError, match=f"got {high}"):
+            child_integers(RngStream(0), np.arange(3), high, skip=1)
 
     @pytest.mark.parametrize("rejected", [1, 3, 5])
     def test_lemire_rejection_matches_numpy(self, rejected):
