@@ -4,7 +4,9 @@ dataset container, stratified splitting, and feature standardization.
 A Dataset keeps both the true labels (when known) and the observed, possibly
 corrupted labels, plus a per-class index over the observed labels.  Datasets
 are treated as immutable after construction; label corruption produces a new
-Dataset.
+Dataset.  Blob noise and feature statistics run in row blocks of at most
+numerics.BUDGET elements, with the bytes a whole-array pass gives, so their
+working set stays fixed as the data grows.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RngStream
+from .numerics import BUDGET, RngStream, even_blocks
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -51,8 +53,10 @@ class Dataset:
         self.observed_labels = np.asarray(self.observed_labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise ValueError("Dataset: features must be 2-D (N, d)")
-        finite = np.isfinite(self.features).all(axis=1)
-        if not finite.all():
+        # min and max carry any NaN or infinity, without an (N, d) mask.
+        if self.features.size and not (np.isfinite(self.features.min())
+                                       and np.isfinite(self.features.max())):
+            finite = np.isfinite(self.features).all(axis=1)
             raise ValueError(f"Dataset: non-finite feature in row {int(np.argmin(finite))}")
         n = self.features.shape[0]
         if self.observed_labels.shape != (n,):
@@ -108,8 +112,13 @@ def make_blobs(num_classes: int, per_class: int, dim: int, separation: float,
     centers = centers * (separation / min_dist)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     features = centers[labels]
-    features += rng.normal(size=(labels.size, dim))
-    return Dataset(features, labels, num_classes, true_labels=labels.copy())
+    # The noise rows are read from the stream in order, one block at a time.
+    for block in even_blocks(labels.size, BUDGET // dim):
+        rows = features[block]
+        rows += rng.normal(size=rows.shape)
+    # One label array for both: datasets are immutable, and every injector
+    # writes its labels into a copy.
+    return Dataset(features, labels, num_classes, true_labels=labels)
 
 
 def make_two_moons(per_class: int, noise_stdev: float, rng: RngStream) -> Dataset:
@@ -277,12 +286,34 @@ def take(dataset: Dataset, indices: np.ndarray) -> Dataset:
     )
 
 
+def _column_sums(blocks, dim: int) -> np.ndarray:
+    """Column sums of (rows, dim) blocks, with numpy's bits for the axis-0
+    sum of the blocks stacked: numpy adds the rows of a C-ordered array with
+    dim >= 2 one after another from 0.0, so each block is summed with the
+    running total as its first row."""
+    total = np.zeros(dim)
+    for block in blocks:
+        total = np.concatenate([total[None], block]).sum(axis=0)
+    return total
+
+
 def feature_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dimension mean and stdev; constant dimensions get stdev 1."""
-    mean = features.mean(axis=0)
-    std = features.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
-    return mean, std
+    """Per-dimension mean and stdev; constant dimensions get stdev 1.
+
+    The bits of features.mean(axis=0) and features.std(axis=0), in row
+    blocks of at most BUDGET elements: the sum, then the squared deviations
+    from the mean, each divided by N, as numpy's mean and var do.  numpy
+    sums a lone column (d = 1), or an array not in C order, pairwise rather
+    than row by row, so those take numpy's own calls.
+    """
+    n, d = features.shape
+    if d < 2 or not features.flags.c_contiguous:
+        mean, std = features.mean(axis=0), features.std(axis=0)
+    else:
+        blocks = even_blocks(n, BUDGET // d)
+        mean = _column_sums((features[b] for b in blocks), d) / n
+        std = np.sqrt(_column_sums((np.square(features[b] - mean) for b in blocks), d) / n)
+    return mean, np.where(std < 1e-12, 1.0, std)
 
 
 def standardize(dataset: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, read_end, read_exact
-from .numerics import LOSS_FLOOR, RngStream, softmax
+from .numerics import LOSS_FLOOR, RngStream, even_blocks, softmax
 
 CHECKPOINT_MAGIC = b"RMLCKPT\x01"
 
@@ -137,12 +137,9 @@ def forward(model: ModelState, features: np.ndarray) -> np.ndarray:
     x = _features(model, features)
     rows = x.shape[0]
     width = model.hidden if model.arch == "mlp" else model.num_classes
-    blocks = max(1, -(-rows // max(1, FORWARD_BLOCK // width)))
-    block = max(1, -(-rows // blocks))
     probs = np.empty((rows, model.num_classes))
-    for start in range(0, rows, block):
-        probs[start:start + block] = softmax(_logits_parts(model, x[start:start + block])[0],
-                                             axis=1)
+    for block in even_blocks(rows, FORWARD_BLOCK // width):
+        probs[block] = softmax(_logits_parts(model, x[block])[0], axis=1)
     return probs
 
 

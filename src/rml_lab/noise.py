@@ -5,11 +5,12 @@ true labels and features are untouched and the per-class index is rebuilt.
 Per-sample randomness is keyed by sample index: sample i draws from
 rng.child(i), so extending a dataset never changes the fate of earlier
 samples.  The children are computed in passes by the bulk kernel in
-`numerics`, with the bytes each child stream gives on its own.  The
-instance-dependent injector does all its per-sample work one class at a
-time (the class's child draws, flip probabilities, standardized features
-and transition rows), so its working set is a class's, never the whole
-data set's.
+`numerics`, with the bytes each child stream gives on its own.  Every
+injector draws its children one Philox pass at a time.  The
+instance-dependent injector works one class at a time: the flip
+probabilities per pass of child draws, and the standardized features,
+transition rows and cdf in even row blocks of at most BUDGET elements per
+array, so its working set stays fixed as the data grows.
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset, feature_stats
-from .numerics import RngStream, child_integers, child_random
+from .numerics import (
+    _PHILOX_LANES,
+    BUDGET,
+    RngStream,
+    child_integers,
+    child_random,
+    even_blocks,
+)
 
 NOISE_KINDS = ("symmetric", "pairflip", "instance_dependent", "none")
 
@@ -80,7 +88,7 @@ def inject_symmetric(dataset: Dataset, rate: float, rng: RngStream) -> Dataset:
         raise ValueError("inject_symmetric: need at least 2 classes")
     c = dataset.num_classes
     labels = dataset.observed_labels.copy()
-    flip = np.flatnonzero(child_random(rng, np.arange(labels.size), 1)[:, 0] < rate)
+    flip = _flipped(rng, labels.size, rate)
     target = child_integers(rng, flip, c - 1, skip=1)
     labels[flip] = target + (target >= labels[flip])
     return dataset.with_observed_labels(labels)
@@ -94,9 +102,19 @@ def inject_pairflip(dataset: Dataset, rate: float, rng: RngStream) -> Dataset:
         raise ValueError(f"inject_pairflip: rate must be in [0, 0.5), got {rate}")
     c = dataset.num_classes
     labels = dataset.observed_labels.copy()
-    flip = child_random(rng, np.arange(labels.size), 1)[:, 0] < rate
+    flip = _flipped(rng, labels.size, rate)
     labels[flip] = (labels[flip] + 1) % c
     return dataset.with_observed_labels(labels)
+
+
+def _flipped(rng: RngStream, n: int, rate: float) -> np.ndarray:
+    """The samples i < n whose rng.child(i).random() is below `rate`, in
+    order, drawn one _PHILOX_LANES pass at a time."""
+    flip = np.empty(n, dtype=bool)
+    for start in range(0, n, _PHILOX_LANES):
+        rows = np.arange(start, min(start + _PHILOX_LANES, n))
+        flip[start:start + rows.size] = child_random(rng, rows, 1)[:, 0] < rate
+    return np.flatnonzero(flip)
 
 
 def inject_instance_dependent(dataset: Dataset, rate: float, rng: RngStream) -> Dataset:
@@ -120,13 +138,20 @@ def inject_instance_dependent(dataset: Dataset, rate: float, rng: RngStream) -> 
     # stay index-keyed: sample i draws (u_flip, u_target) from rng.child(i).
     proj = rng.normal(size=(c, d, c))
     new_labels = np.empty(n, dtype=np.int64)
-    for label, rows in enumerate(dataset.class_index):
-        u_flip, u_target = child_random(rng, rows, 2).T
-        x = (dataset.features[rows] - mean) / std
-        cdf = instance_flip_distribution(x, label, _flip_probabilities(u_flip, rate), proj)
-        np.cumsum(cdf, axis=1, out=cdf)
-        cdf[:, -1] = 1.0
-        new_labels[rows] = (u_target[:, None] >= cdf).sum(axis=1)
+    for label, members in enumerate(dataset.class_index):
+        # One Philox pass of child draws at a time, and the (rows, c) scores
+        # and cdf in even blocks of at most BUDGET elements.
+        for draws in even_blocks(members.size, _PHILOX_LANES):
+            rows = members[draws]
+            u_flip, u_target = child_random(rng, rows, 2).T
+            q = _flip_probabilities(u_flip, rate)
+            for block in even_blocks(rows.size, BUDGET // max(c, d)):
+                part = rows[block]
+                x = (dataset.features[part] - mean) / std
+                cdf = instance_flip_distribution(x, label, q[block], proj)
+                np.cumsum(cdf, axis=1, out=cdf)
+                cdf[:, -1] = 1.0
+                new_labels[part] = (u_target[block, None] >= cdf).sum(axis=1)
     return dataset.with_observed_labels(new_labels)
 
 

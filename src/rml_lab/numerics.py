@@ -28,6 +28,23 @@ _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (int(_GOLDEN), 0xBB67AE8584CAA73B)
 # Philox blocks computed per pass of the bulk kernel; bounds its temporaries.
 _PHILOX_LANES = 8192
+# Elements per array of one pass over rows, 128 KB of float64: a refresh
+# chunk holds 40 rows of a 400-sample class, 2 of a 6 000 one; verify's
+# prop1 and prop2 chunk their trials by it, and feature statistics, blob
+# noise and the instance-dependent injector work in row blocks of it.  Every
+# user reads its streams in row order, so the size moves no byte and only
+# caps memory.
+BUDGET = 1 << 14
+
+
+def even_blocks(rows: int, most: int) -> list[slice]:
+    """The fewest blocks of at most `most` (floored at 1) rows that cover
+    `rows` rows, all of one size but the last, which is short by fewer rows
+    than there are blocks: no block is a small tail that could take another
+    GEMM kernel."""
+    count = -(-rows // max(1, most))
+    size = max(1, -(-rows // max(1, count)))
+    return [slice(start, start + size) for start in range(0, rows, size)]
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:

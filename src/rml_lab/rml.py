@@ -32,6 +32,7 @@ import numpy as np
 from . import model as model_ops
 from .data import Dataset
 from .numerics import (
+    BUDGET,
     LOSS_FLOOR,
     RACE_MIN_WEIGHT,
     RngStream,
@@ -42,11 +43,6 @@ from .numerics import (
 )
 
 ESTIMATORS = ("median", "mean")
-# Elements per array of a chunk of rows, 512 KB of float64: a refresh chunk
-# holds 163 rows of a 400-sample class, 10 of a 6 000 one; verify's prop1 and
-# prop2 chunk their trials by it too.  Every user reads its streams in row
-# order, so chunking never moves a byte and only caps memory.
-BUDGET = 1 << 16
 
 
 @dataclass

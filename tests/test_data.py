@@ -22,7 +22,7 @@ from rml_lab.data import (
     write_idx_labels,
 )
 from rml_lab.model import init_model, init_optimizer
-from rml_lab.numerics import RngStream
+from rml_lab.numerics import BUDGET, RngStream
 from rml_lab.trainer import RunConfig, train_ce
 
 
@@ -61,6 +61,18 @@ class TestDatasetInvariants:
         features[2, 1] = np.nan
         with pytest.raises(ValueError, match="row 2"):
             Dataset(features, np.zeros(4, dtype=int), num_classes=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_last_row_is_named(self, bad):
+        features = np.ones((5, 3))
+        features[4, 2] = bad
+        with pytest.raises(ValueError, match="row 4"):
+            Dataset(features, np.zeros(5, dtype=int), num_classes=2)
+
+    def test_no_rows_are_valid(self):
+        ds = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), num_classes=2)
+        assert (ds.n_samples, ds.dim) == (0, 3)
+        assert [m.size for m in ds.class_index] == [0, 0]
 
 
 class TestMakeBlobs:
@@ -224,3 +236,32 @@ class TestStandardize:
         out = standardize(ds, mean, std)
         np.testing.assert_allclose(out.features.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.features.std(axis=0), 1.0, atol=1e-12)
+
+
+class TestFeatureStats:
+    """numpy's mean(axis=0) and std(axis=0), bit for bit, at sizes around
+    one row block of BUDGET elements; a constant column gets stdev 1."""
+
+    @staticmethod
+    def _assert_numpy_bits(features):
+        mean, std = feature_stats(features)
+        want_std = features.std(axis=0)
+        assert mean.tobytes() == features.mean(axis=0).tobytes()
+        assert std.tobytes() == np.where(want_std < 1e-12, 1.0, want_std).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the mean of no rows
+    @pytest.mark.parametrize("d", [1, 2, 8, 784])
+    def test_numpy_bits(self, d):
+        block = BUDGET // d
+        for n in (0, 1, block - 1, block, block + 1, 3 * block + 1):
+            features = RngStream(d, n).normal(5.0, 3.0, (n, d))
+            if d > 1:
+                features[:, -1] = 0.1   # sums to N * 0.1 only up to rounding
+            self._assert_numpy_bits(features)
+            if d > 1 and n:
+                assert feature_stats(features)[1][-1] == 1.0
+
+    def test_fortran_order_gets_numpy_bits(self):
+        # numpy sums a contiguous axis 0 pairwise, not row by row.
+        self._assert_numpy_bits(np.asfortranarray(
+            RngStream(0, 32).normal(5.0, 3.0, (3 * BUDGET // 2 + 1, 2))))

@@ -161,6 +161,16 @@ class TestInstanceDependent:
         np.testing.assert_array_equal(out.true_labels, ds.true_labels)
 
 
+@pytest.mark.parametrize("inject", [inject_symmetric, inject_pairflip, inject_instance_dependent])
+def test_clean_labels_untouched(inject):
+    # make_blobs gives observed and true labels one array, so an injector
+    # that wrote its labels in place would corrupt the clean data set.
+    ds = make_blobs(4, 50, 3, 6.0, RngStream(14))
+    inject(ds, 0.4, RngStream(14, 2))
+    for labels in (ds.observed_labels, ds.true_labels):
+        np.testing.assert_array_equal(labels, np.repeat(np.arange(4), 50))
+
+
 def _label_digest(dataset: Dataset) -> str:
     return hashlib.sha256(dataset.observed_labels.astype(np.int64).tobytes()).hexdigest()
 

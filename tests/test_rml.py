@@ -402,13 +402,14 @@ class TestReferenceOracle:
     @pytest.mark.parametrize("overrides", [
         {}, {"use_processed_loss": False}, {"estimator": "mean"}, {"n": 2, "k": 2},
     ], ids=["rml", "no_processing", "no_median", "n2k2"])
-    @pytest.mark.parametrize("budget", [rml.BUDGET, 60], ids=["one_chunk", "chunked"])
+    @pytest.mark.parametrize("budget", [150 * 150, 60], ids=["one_chunk", "chunked"])
     def test_matches_per_sample_reference(self, overrides, budget, monkeypatch):
         # A class that fills n groups of k; classes smaller than n*k (k
         # shrinks); one with losses near 40, whose processed weights
         # underflow to 0 (so its members see two pool sizes); a singleton.
-        # A small budget splits classes into many chunks of rows, and must
-        # not change a byte: each class's streams are read in row order.
+        # A budget of 150 * 150 holds the largest class in one chunk; a
+        # small one splits classes into many chunks of rows, and must not
+        # change a byte: each class's streams are read in row order.
         monkeypatch.setattr(rml, "BUDGET", budget)
         g = np.random.default_rng(7)
         ds, losses = _cache_dataset([

@@ -54,9 +54,9 @@ class TestCheckProp1:
     @pytest.mark.parametrize("epsilon_bias", [1.0, 2.5])
     @pytest.mark.parametrize("budget", [rml.BUDGET, 700], ids=["default", "small"])
     def test_matches_per_pool_reference(self, budget, epsilon_bias, monkeypatch):
-        # At m = 100 the default budget takes 655 pools a chunk, so 3 000
-        # pools are five chunks, the last of 380; 700 takes 7, so 429
-        # chunks, the last of 3.
+        # At m = 100 the default budget takes 163 pools a chunk, so 3 000
+        # pools are 19 chunks, the last of 66; 700 takes 7, so 429 chunks,
+        # the last of 4.
         monkeypatch.setattr(rml, "BUDGET", budget)
         report = check_prop1(3000, 100, RngStream(0, 5), epsilon_bias=epsilon_bias)
         assert report == _reference_prop1(3000, 100, RngStream(0, 5),
@@ -178,11 +178,11 @@ class TestCheckProp2:
 
     def test_rows_do_not_depend_on_the_budget(self, monkeypatch):
         # Trial t is row t of rng.child(0)'s normals and of rng.child(1)'s
-        # regroup uniforms, so the default budget (chunks of 1 074 trials)
+        # regroup uniforms, so the default budget (chunks of 268 trials)
         # and a budget of 700 draws (chunks of 11) read the same rows.
         want = self._spied_prop2(monkeypatch, rml.BUDGET)
         got = self._spied_prop2(monkeypatch, 700)
-        assert [len(chunk) for chunk in want[1]] == [1_074, 926]
+        assert [len(chunk) for chunk in want[1]] == [268] * 7 + [124]
         assert [len(chunk) for chunk in got[1]] == [11] * 181 + [9]
         assert got[0] == want[0]
         rng = RngStream(6, 9)
