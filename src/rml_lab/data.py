@@ -2,18 +2,21 @@
 dataset container, stratified splitting, and feature standardization.
 
 A Dataset keeps both the true labels (when known) and the observed, possibly
-corrupted labels, plus a per-class index over the observed labels.  Datasets
-are treated as immutable after construction; label corruption produces a new
-Dataset.  Blob noise and feature statistics run in row blocks of at most
-numerics.BUDGET elements, with the bytes a whole-array pass gives, so their
-working set stays fixed as the data grows.
+corrupted labels.  Its per-class index over the observed labels is built the
+first time it is read, so a dataset that nothing groups by class (a label
+injector's output) never holds one.  Datasets are treated as immutable after
+construction; label corruption produces a new Dataset.  Blob noise and
+feature statistics run in row blocks of at most numerics.BUDGET elements,
+with the bytes a whole-array pass gives, so their working set stays fixed as
+the data grows.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,18 +38,25 @@ class IdxConsistencyError(ValueError):
     """Raised when paired IDX files disagree on the sample count."""
 
 
+def class_members(observed_labels: np.ndarray, label: int) -> np.ndarray:
+    """Sorted indices of the samples observed as class `label`."""
+    return np.flatnonzero(observed_labels == label)
+
+
 def build_class_index(observed_labels: np.ndarray, num_classes: int) -> list[np.ndarray]:
     """Sorted sample indices per observed class."""
-    return [np.flatnonzero(observed_labels == c) for c in range(num_classes)]
+    return [class_members(observed_labels, c) for c in range(num_classes)]
 
 
 @dataclass
 class Dataset:
+    """Features with observed (and, when known, true) labels.  `class_index`
+    is built from the observed labels on first read and cached."""
+
     features: np.ndarray                 # (N, d) float64
     observed_labels: np.ndarray          # (N,) int64
     num_classes: int
     true_labels: np.ndarray | None = None
-    class_index: list[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -73,8 +83,10 @@ class Dataset:
                 self.true_labels.min() < 0 or self.true_labels.max() >= self.num_classes
             ):
                 raise ValueError("Dataset: true labels out of range")
-        if self.class_index is None:
-            self.class_index = build_class_index(self.observed_labels, self.num_classes)
+
+    @cached_property
+    def class_index(self) -> list[np.ndarray]:
+        return build_class_index(self.observed_labels, self.num_classes)
 
     @property
     def n_samples(self) -> int:
@@ -85,7 +97,7 @@ class Dataset:
         return self.features.shape[1]
 
     def with_observed_labels(self, observed: np.ndarray) -> "Dataset":
-        """Copy of this dataset with new observed labels (index rebuilt)."""
+        """Copy of this dataset with new observed labels (and no index yet)."""
         return Dataset(
             features=self.features,
             observed_labels=observed,
@@ -242,6 +254,9 @@ def load_dataset(path) -> Dataset:
         if flags & ~1:
             raise ValueError(f"load_dataset: unknown flag bits {flags & ~1:#x} in {path}")
         n, d, c = struct.unpack("<QQQ", read_exact(f, 24, path))
+        if c > MAX_CLASSES:
+            raise ValueError(f"load_dataset: {c} classes in {path}; label bytes "
+                             f"support at most {MAX_CLASSES}")
         features = np.frombuffer(read_exact(f, n * d * 8, path), dtype="<f8").reshape(n, d).copy()
         observed = np.frombuffer(read_exact(f, n, path), dtype=np.uint8).astype(np.int64)
         true = None

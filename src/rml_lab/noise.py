@@ -1,7 +1,8 @@
 """Label corruption models: symmetric, pairflip, and feature-dependent flips.
 
 Each injector maps a dataset to a new dataset with corrupted observed labels;
-true labels and features are untouched and the per-class index is rebuilt.
+true labels and features are untouched, and the new dataset builds its
+per-class index only if something reads it.
 Per-sample randomness is keyed by sample index: sample i draws from
 rng.child(i), so extending a dataset never changes the fate of earlier
 samples.  The children are computed in passes by the bulk kernel in
@@ -21,7 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import Dataset, feature_stats
+from .data import Dataset, class_members, feature_stats
 from .numerics import (
     _PHILOX_LANES,
     BUDGET,
@@ -138,7 +139,9 @@ def inject_instance_dependent(dataset: Dataset, rate: float, rng: RngStream) -> 
     # stay index-keyed: sample i draws (u_flip, u_target) from rng.child(i).
     proj = rng.normal(size=(c, d, c))
     new_labels = np.empty(n, dtype=np.int64)
-    for label, members in enumerate(dataset.class_index):
+    for label in range(c):
+        # One class's rows at a time, so the input's index is not built.
+        members = class_members(dataset.observed_labels, label)
         # One Philox pass of child draws at a time, and the (rows, c) scores
         # and cdf in even blocks of at most BUDGET elements.
         for draws in even_blocks(members.size, _PHILOX_LANES):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rml_lab.data import (
+    MAX_CLASSES,
     Dataset,
     IdxConsistencyError,
     IdxFormatError,
@@ -18,10 +19,12 @@ from rml_lab.data import (
     save_dataset,
     split,
     standardize,
+    take,
     write_idx_images,
     write_idx_labels,
 )
 from rml_lab.model import init_model, init_optimizer
+from rml_lab.noise import inject_instance_dependent, inject_pairflip, inject_symmetric
 from rml_lab.numerics import BUDGET, RngStream
 from rml_lab.trainer import RunConfig, train_ce
 
@@ -73,6 +76,42 @@ class TestDatasetInvariants:
         ds = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), num_classes=2)
         assert (ds.n_samples, ds.dim) == (0, 3)
         assert [m.size for m in ds.class_index] == [0, 0]
+
+
+class TestLazyClassIndex:
+    def test_first_read_builds_and_caches(self):
+        ds = make_blobs(4, 30, 3, 6.0, RngStream(2))
+        assert "class_index" not in vars(ds)
+        index = ds.class_index
+        expected = build_class_index(ds.observed_labels, ds.num_classes)
+        assert len(index) == len(expected)
+        for a, b in zip(index, expected):
+            np.testing.assert_array_equal(a, b)
+        assert ds.class_index is index
+
+    @pytest.mark.parametrize("derive", [
+        lambda ds: take(ds, np.arange(0, ds.n_samples, 2)),
+        lambda ds: standardize(ds, *feature_stats(ds.features)),
+        lambda ds: ds.with_observed_labels(ds.observed_labels[::-1].copy()),
+        lambda ds: inject_symmetric(ds, 0.2, RngStream(3, 21)),
+        lambda ds: inject_pairflip(ds, 0.3, RngStream(3, 23)),
+        lambda ds: inject_instance_dependent(ds, 0.3, RngStream(3, 24)),
+    ], ids=["take", "standardize", "with_observed_labels", "symmetric", "pairflip",
+            "instance_dependent"])
+    def test_derived_datasets_leave_index_unbuilt(self, derive):
+        ds = make_blobs(3, 40, 2, 6.0, RngStream(3))
+        ds.class_index   # built on the input, so that one passed on would show
+        assert "class_index" not in vars(derive(ds))
+
+    def test_instance_dependent_leaves_input_index_unbuilt(self):
+        ds = make_blobs(3, 40, 2, 6.0, RngStream(3))
+        inject_instance_dependent(ds, 0.3, RngStream(3, 24))
+        assert "class_index" not in vars(ds)
+
+    def test_index_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            Dataset(np.zeros((2, 1)), np.array([0, 1]), num_classes=2,
+                    class_index=[np.array([0]), np.array([1])])
 
 
 class TestMakeBlobs:
@@ -199,6 +238,25 @@ class TestContainer:
         path.write_bytes(bytes(whole))
         with pytest.raises(ValueError, match="unknown flag bits 0x6 in .*data.rmld"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("classes", [MAX_CLASSES + 1, 2 ** 18, 2 ** 40])
+    def test_class_count_beyond_label_bytes_names_file(self, tmp_path, classes):
+        # The class count follows the magic, version, flags, N and d.
+        path = tmp_path / "data.rmld"
+        save_dataset(make_blobs(2, 1, 2, 5.0, RngStream(12)), path)
+        whole = bytearray(path.read_bytes())
+        whole[32:40] = struct.pack("<Q", classes)
+        path.write_bytes(bytes(whole))
+        with pytest.raises(ValueError, match=f"{classes} classes in .*data.rmld"):
+            load_dataset(path)
+
+    def test_class_count_at_label_byte_limit_loads(self, tmp_path):
+        path = tmp_path / "data.rmld"
+        save_dataset(make_blobs(2, 1, 2, 5.0, RngStream(12)), path)
+        whole = bytearray(path.read_bytes())
+        whole[32:40] = struct.pack("<Q", MAX_CLASSES)
+        path.write_bytes(bytes(whole))
+        assert load_dataset(path).num_classes == MAX_CLASSES
 
 
 class TestSplit:

@@ -1,11 +1,13 @@
-"""Every full-size pass holds a bounded working set: traced peak memory
-(tracemalloc, which sees numpy's buffers) of one call, with its inputs built
-before tracing starts.  Each bound sits between the blocked pass's peak and
+"""Every full-size pass holds a bounded working set, and an injector's
+result holds only its labels: traced peak or retained memory (tracemalloc,
+which sees numpy's buffers) of one call, with its inputs built before
+tracing starts.  Each bound sits between the blocked pass's peak and
 that of the same pass done in one piece.  The forward's blocks are even."""
 
 import tracemalloc
 
 import numpy as np
+import numpy.random  # noqa: F401 - numpy loads it lazily; its 0.7 MB import counts in no peak
 import pytest
 
 from rml_lab import model as model_ops
@@ -18,15 +20,17 @@ from rml_lab.verify import check_prop1, check_prop2
 MB = 2 ** 20
 
 
-def traced_call(fn):
+def traced_call(fn, retained=False):
     """fn()'s result and the peak bytes allocated while it ran, above what
-    was live before."""
+    was live before; with retained=True, the bytes still live after it
+    returned, its result included, instead of the peak."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         result = fn()
-        return tracemalloc.get_traced_memory()[1] - base, result
+        current, peak = tracemalloc.get_traced_memory()
+        return (current if retained else peak) - base, result
     finally:
         tracemalloc.stop()
 
@@ -86,10 +90,11 @@ def blobs_1e5():
 
 
 def test_make_blobs_draws_noise_in_blocks():
-    # The (10^5, 4) features, one label array and the class index: 4.7 MB
-    # here; one whole noise draw and a second label array give 6.9.
+    # The (10^5, 4) features and one label array: 3.9 MB here; a class
+    # index built with the dataset gives 4.7, and one whole noise draw and a
+    # second label array as well 6.9.
     peak, _ = traced_call(lambda: make_blobs(10, 10_000, 4, 6.0, RngStream(0, 1)))
-    assert peak < 5.5 * MB
+    assert peak < 4.3 * MB
 
 
 def test_feature_stats_sums_in_blocks(blobs_1e5):
@@ -112,6 +117,17 @@ def test_flip_injectors_draw_children_in_passes(blobs_1e5, inject, rate):
     # 2.6 and 2.1 MB here; whole-N indices and uniforms give 3.7.
     peak, _ = traced_call(lambda: inject(blobs_1e5, rate, RngStream(0, 21)))
     assert peak < 3 * MB
+
+
+@pytest.mark.parametrize("inject, rate", [(inject_symmetric, 0.2), (inject_pairflip, 0.45),
+                                         (inject_instance_dependent, 0.3)])
+def test_injectors_retain_only_their_labels(inject, rate):
+    # The new (10^5,) int64 labels, 0.8 MB: no class index of the result,
+    # which nothing reads, nor of the input (1.5 MB with either).  The input
+    # is fresh, since the shared one's index may have been built already.
+    clean = make_blobs(10, 10_000, 4, 6.0, RngStream(0, 1))
+    retained, _ = traced_call(lambda: inject(clean, rate, RngStream(0, 21)), retained=True)
+    assert retained < 1.1 * MB
 
 
 def test_child_random_converts_pass_by_pass():
