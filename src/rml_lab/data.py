@@ -2,9 +2,12 @@
 dataset container, stratified splitting, and feature standardization.
 
 A Dataset keeps both the true labels (when known) and the observed, possibly
-corrupted labels.  Its per-class index over the observed labels is built the
-first time it is read, so a dataset that nothing groups by class (a label
-injector's output) never holds one.  Datasets are treated as immutable after
+corrupted labels, in the narrowest unsigned type that holds the class count
+(`label_dtype`): up to 255 classes, one byte per label, the byte the IDX and
+container files store.  Labels are checked before they are narrowed.  Its
+per-class index over the observed labels is built the first time it is
+read, so a dataset that nothing groups by class (a label injector's output)
+never holds one.  Datasets are treated as immutable after
 construction; label corruption produces a new Dataset.  Blob noise and
 feature statistics run in row blocks of at most numerics.BUDGET elements,
 with the bytes a whole-array pass gives, so their working set stays fixed as
@@ -38,6 +41,25 @@ class IdxConsistencyError(ValueError):
     """Raised when paired IDX files disagree on the sample count."""
 
 
+def label_dtype(num_classes: int) -> np.dtype:
+    """The in-memory label type: the narrowest unsigned type that holds
+    `num_classes` itself, so that y + 1 before a mod c cannot overflow."""
+    return np.min_scalar_type(num_classes)
+
+
+def _checked_labels(labels, n: int, num_classes: int, which: str) -> np.ndarray:
+    """`labels` as an (n,) array of label_dtype(num_classes), checked before
+    it is narrowed: a cast first would wrap 257 or -255 to a valid byte."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"Dataset: {which} labels must be integers, got dtype {labels.dtype}")
+    if labels.shape != (n,):
+        raise ValueError(f"Dataset: {which}_labels length must match features")
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError(f"Dataset: {which} labels out of range [0, {num_classes})")
+    return labels.astype(label_dtype(num_classes), copy=False)
+
+
 def class_members(observed_labels: np.ndarray, label: int) -> np.ndarray:
     """Sorted indices of the samples observed as class `label`."""
     return np.flatnonzero(observed_labels == label)
@@ -54,13 +76,12 @@ class Dataset:
     is built from the observed labels on first read and cached."""
 
     features: np.ndarray                 # (N, d) float64
-    observed_labels: np.ndarray          # (N,) int64
+    observed_labels: np.ndarray          # (N,) label_dtype(num_classes)
     num_classes: int
     true_labels: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        self.observed_labels = np.asarray(self.observed_labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise ValueError("Dataset: features must be 2-D (N, d)")
         # min and max carry any NaN or infinity, without an (N, d) mask.
@@ -69,20 +90,10 @@ class Dataset:
             finite = np.isfinite(self.features).all(axis=1)
             raise ValueError(f"Dataset: non-finite feature in row {int(np.argmin(finite))}")
         n = self.features.shape[0]
-        if self.observed_labels.shape != (n,):
-            raise ValueError("Dataset: observed_labels length must match features")
-        if self.observed_labels.size and (
-            self.observed_labels.min() < 0 or self.observed_labels.max() >= self.num_classes
-        ):
-            raise ValueError("Dataset: observed labels out of range")
+        self.observed_labels = _checked_labels(self.observed_labels, n, self.num_classes,
+                                               "observed")
         if self.true_labels is not None:
-            self.true_labels = np.asarray(self.true_labels, dtype=np.int64)
-            if self.true_labels.shape != (n,):
-                raise ValueError("Dataset: true_labels length must match features")
-            if self.true_labels.size and (
-                self.true_labels.min() < 0 or self.true_labels.max() >= self.num_classes
-            ):
-                raise ValueError("Dataset: true labels out of range")
+            self.true_labels = _checked_labels(self.true_labels, n, self.num_classes, "true")
 
     @cached_property
     def class_index(self) -> list[np.ndarray]:
@@ -122,7 +133,7 @@ def make_blobs(num_classes: int, per_class: int, dim: int, separation: float,
     if min_dist <= 0:
         raise ValueError("make_blobs: degenerate center draw")
     centers = centers * (separation / min_dist)
-    labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
+    labels = np.repeat(np.arange(num_classes, dtype=label_dtype(num_classes)), per_class)
     features = centers[labels]
     # The noise rows are read from the stream in order, one block at a time.
     for block in even_blocks(labels.size, BUDGET // dim):
@@ -143,7 +154,7 @@ def make_two_moons(per_class: int, noise_stdev: float, rng: RngStream) -> Datase
     features = np.vstack([outer, inner])
     if noise_stdev > 0:
         features = features + noise_stdev * rng.normal(size=features.shape)
-    labels = np.repeat(np.array([0, 1], dtype=np.int64), per_class)
+    labels = np.repeat(np.array([0, 1], dtype=label_dtype(2)), per_class)
     return Dataset(features, labels, 2, true_labels=labels.copy())
 
 
@@ -205,7 +216,7 @@ def read_idx(images_path, labels_path) -> Dataset:
         )
     features = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
     num_classes = int(labels.max()) + 1 if labels.size else 1
-    return Dataset(features, labels.astype(np.int64), num_classes)
+    return Dataset(features, labels, num_classes)
 
 
 # -- binary dataset container -------------------------------------------------
@@ -258,10 +269,10 @@ def load_dataset(path) -> Dataset:
             raise ValueError(f"load_dataset: {c} classes in {path}; label bytes "
                              f"support at most {MAX_CLASSES}")
         features = np.frombuffer(read_exact(f, n * d * 8, path), dtype="<f8").reshape(n, d).copy()
-        observed = np.frombuffer(read_exact(f, n, path), dtype=np.uint8).astype(np.int64)
+        observed = np.frombuffer(read_exact(f, n, path), dtype=np.uint8)
         true = None
         if flags & 1:
-            true = np.frombuffer(read_exact(f, n, path), dtype=np.uint8).astype(np.int64)
+            true = np.frombuffer(read_exact(f, n, path), dtype=np.uint8)
         read_end(f, path)
         return Dataset(features, observed, int(c), true_labels=true)
 

@@ -22,7 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import Dataset, class_members, feature_stats
+from .data import Dataset, class_members, feature_stats, label_dtype
 from .numerics import (
     _PHILOX_LANES,
     BUDGET,
@@ -138,7 +138,7 @@ def inject_instance_dependent(dataset: Dataset, rate: float, rng: RngStream) -> 
     # Projections first, from the parent stream, so per-sample substreams
     # stay index-keyed: sample i draws (u_flip, u_target) from rng.child(i).
     proj = rng.normal(size=(c, d, c))
-    new_labels = np.empty(n, dtype=np.int64)
+    new_labels = np.empty(n, dtype=label_dtype(c))
     for label in range(c):
         # One class's rows at a time, so the input's index is not built.
         members = class_members(dataset.observed_labels, label)

@@ -186,6 +186,7 @@ def regroup_estimates(losses: np.ndarray, dataset: Dataset, params: RegroupParam
         step = max(1, BUDGET // m)
         for k in np.unique(row_k[row_k > 0]).tolist():
             group = np.flatnonzero(row_k == k)
+            k_params = replace(params, k=k)
             for start in range(0, group.size, step):
                 rows = group[start:start + step]
                 u = race.random((rows.size, m))
@@ -194,7 +195,7 @@ def regroup_estimates(losses: np.ndarray, dataset: Dataset, params: RegroupParam
                 u[np.arange(rows.size), rows] = 0.0
                 draw = _race_draw(u, weights[None, :], n * k)
                 own = class_losses[rows]
-                estimate = regroup_median(own, class_losses[draw], replace(params, k=k), perm)
+                estimate = regroup_median(own, class_losses[draw], k_params, perm)
                 estimates[members[rows]] = np.minimum(estimate, own)
     return estimates
 

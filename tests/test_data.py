@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from rml_lab.cli import ExperimentConfig, cmd_inject
 from rml_lab.data import (
     MAX_CLASSES,
     Dataset,
@@ -10,6 +11,7 @@ from rml_lab.data import (
     IdxFormatError,
     build_class_index,
     feature_stats,
+    label_dtype,
     load_dataset,
     make_blobs,
     make_two_moons,
@@ -55,9 +57,22 @@ class TestDatasetInvariants:
         for a, b in zip(ds.class_index, rebuilt):
             np.testing.assert_array_equal(a, b)
 
-    def test_label_range_validated(self):
-        with pytest.raises(ValueError):
-            Dataset(np.zeros((2, 1)), np.array([0, 5]), num_classes=2)
+    @pytest.mark.parametrize("labels, problem", [
+        (np.array([0, 5]), "out of range"),
+        (np.array([0, 2]), "out of range"),
+        (np.array([-1, 0]), "out of range"),
+        # A cast to one byte before the check would wrap these to 1.
+        (np.array([0, 257]), "out of range"),
+        (np.array([-255, 0]), "out of range"),
+        (np.array([0.7, 1.2]), "must be integers, got dtype float64"),
+        (np.array([1.9, 0.2], dtype=np.float32), "must be integers, got dtype float32"),
+    ], ids=["5", "num_classes", "-1", "257", "-255", "float64", "float32"])
+    @pytest.mark.parametrize("which", ["observed", "true"])
+    def test_label_range_validated(self, labels, problem, which):
+        good = np.array([0, 1])
+        observed, true = (labels, good) if which == "observed" else (good, labels)
+        with pytest.raises(ValueError, match=f"{which} labels {problem}"):
+            Dataset(np.zeros((2, 1)), observed, num_classes=2, true_labels=true)
 
     def test_non_finite_feature_names_row(self):
         features = np.zeros((4, 2))
@@ -112,6 +127,69 @@ class TestLazyClassIndex:
         with pytest.raises(TypeError):
             Dataset(np.zeros((2, 1)), np.array([0, 1]), num_classes=2,
                     class_index=[np.array([0]), np.array([1])])
+
+
+def _blobs(c):
+    return make_blobs(c, 2, 2, 6.0, RngStream(c))
+
+
+def _read_idx(c, tmp_path):
+    write_idx_images(tmp_path / "img.idx", np.zeros((2 * c, 2, 2), dtype=np.uint8))
+    write_idx_labels(tmp_path / "lab.idx", np.arange(2 * c) % c)
+    return read_idx(tmp_path / "img.idx", tmp_path / "lab.idx")
+
+
+def _reloaded(c, tmp_path):
+    save_dataset(_blobs(c), tmp_path / "data.rmld")
+    return load_dataset(tmp_path / "data.rmld")
+
+
+def _inject_container(c, tmp_path):
+    config = ExperimentConfig.from_dict({
+        "dataset": {"kind": "blobs", "num_classes": c, "per_class": 2, "dim": 2,
+                    "separation": 6.0},
+        "noise": {"kind": "symmetric", "rate": 0.3},
+        "model": {"arch": "linear"},
+        "optimizer": {"lr_init": 0.3},
+        "run": {"mode": "ce", "total_epochs": 1, "batch_size": 8, "seed": 0},
+    })
+    return load_dataset(cmd_inject(config, seed=0, out_dir=tmp_path)["dataset"])
+
+
+class TestLabelDtype:
+    @pytest.mark.parametrize("classes, dtype", [
+        (1, np.uint8), (2, np.uint8), (255, np.uint8), (256, np.uint16),
+        (65_535, np.uint16), (65_536, np.uint32),
+    ])
+    def test_narrowest_unsigned_type_holding_the_count(self, classes, dtype):
+        assert label_dtype(classes) == dtype
+
+    @pytest.mark.parametrize("c", [3, 256])
+    @pytest.mark.parametrize("produce", [
+        lambda c, tmp_path: _blobs(c),
+        lambda c, tmp_path: make_two_moons(3, 0.1, RngStream(c)),
+        _read_idx,
+        _reloaded,
+        lambda c, tmp_path: split(_blobs(c), 0.5, RngStream(c, 3))[0],
+        lambda c, tmp_path: take(_blobs(c), np.arange(c)),
+        lambda c, tmp_path: standardize(_blobs(c), np.zeros(2), np.ones(2)),
+        lambda c, tmp_path: _blobs(c).with_observed_labels(np.zeros(2 * c, dtype=np.int64)),
+        lambda c, tmp_path: inject_symmetric(_blobs(c), 0.3, RngStream(c, 21)),
+        lambda c, tmp_path: inject_pairflip(_blobs(c), 0.3, RngStream(c, 23)),
+        lambda c, tmp_path: inject_instance_dependent(_blobs(c), 0.3, RngStream(c, 24)),
+        _inject_container,
+    ], ids=["make_blobs", "make_two_moons", "read_idx", "load_dataset", "split", "take",
+            "standardize", "with_observed_labels", "symmetric", "pairflip",
+            "instance_dependent", "cmd_inject"])
+    def test_every_producer_gives_label_dtype(self, produce, c, tmp_path):
+        ds = produce(c, tmp_path)
+        assert ds.observed_labels.dtype == label_dtype(ds.num_classes)
+        if ds.true_labels is not None:
+            assert ds.true_labels.dtype == label_dtype(ds.num_classes)
+
+    def test_blobs_share_one_label_array(self):
+        ds = _blobs(3)
+        assert ds.observed_labels is ds.true_labels
 
 
 class TestMakeBlobs:

@@ -90,11 +90,11 @@ def blobs_1e5():
 
 
 def test_make_blobs_draws_noise_in_blocks():
-    # The (10^5, 4) features and one label array: 3.9 MB here; a class
-    # index built with the dataset gives 4.7, and one whole noise draw and a
-    # second label array as well 6.9.
+    # The (10^5, 4) features and one uint8 label array: 3.3 MB here; int64
+    # labels give 3.9, a class index built with the dataset as well 4.7,
+    # and one whole noise draw and a second int64 label array on top 6.9.
     peak, _ = traced_call(lambda: make_blobs(10, 10_000, 4, 6.0, RngStream(0, 1)))
-    assert peak < 4.3 * MB
+    assert peak < 3.6 * MB
 
 
 def test_feature_stats_sums_in_blocks(blobs_1e5):
@@ -105,29 +105,32 @@ def test_feature_stats_sums_in_blocks(blobs_1e5):
 
 def test_instance_dependent_works_class_by_class(blobs_1e5):
     # 10^5 samples of 10 classes: no (N, C) transition or cdf array, no
-    # whole-N uniforms, flip probabilities or standardized features, and no
-    # (N, d) deviation (1.9 MB here; whole classes and feature_stats by
-    # numpy's std give 4.5).
+    # whole-N uniforms, flip probabilities or standardized features, no
+    # (N, d) deviation, and uint8 labels (1.3 MB here; int64 labels give
+    # 1.9, and whole classes and feature_stats by numpy's std 4.5).
     peak, _ = traced_call(lambda: inject_instance_dependent(blobs_1e5, 0.3, RngStream(0, 24)))
-    assert peak < 3 * MB
+    assert peak < 1.6 * MB
 
 
 @pytest.mark.parametrize("inject, rate", [(inject_symmetric, 0.2), (inject_pairflip, 0.45)])
 def test_flip_injectors_draw_children_in_passes(blobs_1e5, inject, rate):
-    # 2.6 and 2.1 MB here; whole-N indices and uniforms give 3.7.
+    # 2.0 and 1.4 MB here with uint8 labels; int64 labels give 2.6 and 2.1,
+    # and whole-N indices and uniforms 3.7.
+    bound = {inject_symmetric: 2.3, inject_pairflip: 1.8}[inject]
     peak, _ = traced_call(lambda: inject(blobs_1e5, rate, RngStream(0, 21)))
-    assert peak < 3 * MB
+    assert peak < bound * MB
 
 
 @pytest.mark.parametrize("inject, rate", [(inject_symmetric, 0.2), (inject_pairflip, 0.45),
                                          (inject_instance_dependent, 0.3)])
 def test_injectors_retain_only_their_labels(inject, rate):
-    # The new (10^5,) int64 labels, 0.8 MB: no class index of the result,
-    # which nothing reads, nor of the input (1.5 MB with either).  The input
-    # is fresh, since the shared one's index may have been built already.
+    # The new (10^5,) uint8 labels, 0.1 MB: not int64 labels (0.8 MB), and
+    # no class index of the result, which nothing reads, nor of the input
+    # (0.8 MB more with either).  The input is fresh, since the shared one's
+    # index may have been built already.
     clean = make_blobs(10, 10_000, 4, 6.0, RngStream(0, 1))
     retained, _ = traced_call(lambda: inject(clean, rate, RngStream(0, 21)), retained=True)
-    assert retained < 1.1 * MB
+    assert retained < 0.2 * MB
 
 
 def test_child_random_converts_pass_by_pass():

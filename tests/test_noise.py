@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rml_lab
-from rml_lab.data import Dataset, make_blobs, split
+from rml_lab.data import Dataset, label_dtype, make_blobs, split
 from rml_lab.noise import (
     _flip_probabilities,
     INSTANCE_FLIP_STDEV,
@@ -24,7 +24,7 @@ from rml_lab.noise import (
     inject_symmetric,
     instance_flip_distribution,
 )
-from rml_lab.numerics import RngStream
+from rml_lab.numerics import RngStream, child_random
 
 
 def _big_clean(n_classes=10, per_class=10_000, dim=4, seed=0):
@@ -169,6 +169,31 @@ def test_clean_labels_untouched(inject):
     inject(ds, 0.4, RngStream(14, 2))
     for labels in (ds.observed_labels, ds.true_labels):
         np.testing.assert_array_equal(labels, np.repeat(np.arange(4), 50))
+
+
+@pytest.mark.parametrize("c", [255, 256])
+class TestLabelTypeBoundary:
+    """255 classes are the most a uint8 label holds with c itself; 256 take
+    uint16, so y + 1 before the mod cannot overflow."""
+
+    def test_pairflip_sends_last_class_to_zero(self, c):
+        ds = make_blobs(c, 20, 2, 6.0, RngStream(c))
+        out = inject_pairflip(ds, 0.45, RngStream(c, 2))
+        assert out.observed_labels.dtype == label_dtype(c)
+        y, o = out.true_labels.astype(np.int64), out.observed_labels.astype(np.int64)
+        flipped = o != y
+        np.testing.assert_array_equal(o[flipped], (y[flipped] + 1) % c)
+        assert (o[y == c - 1] == 0).any()
+
+    def test_symmetric_targets_in_range_and_off_source(self, c):
+        ds = make_blobs(c, 20, 2, 6.0, RngStream(c))
+        rng = RngStream(c, 2)
+        out = inject_symmetric(ds, 0.5, rng)
+        assert out.observed_labels.dtype == label_dtype(c)
+        drawn = child_random(rng, np.arange(ds.n_samples), 1)[:, 0] < 0.5
+        np.testing.assert_array_equal(corruption_mask(out), drawn)
+        targets = out.observed_labels[drawn].astype(np.int64)
+        assert targets.min() == 0 and targets.max() == c - 1
 
 
 def _label_digest(dataset: Dataset) -> str:
