@@ -6,8 +6,8 @@ RngStream, numpy's Philox keyed by (seed, stream_id) or by `child(i)` of one:
 a key replays the same sequence bit for bit, across runs and machines, and
 rows read in order give the same values however they are chunked.  The noise
 injectors draw per-index children in bulk: `child_random` and
-`child_integers` run Philox4x64-10 in numpy, in passes of at most
-_PHILOX_LANES blocks, and give each child's own bytes.
+`child_integers` run Philox4x64-10 in place in numpy, in passes of at
+most _PHILOX_LANES blocks, and give each child's own bytes.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 # random numbers: as easy as 1, 2, 3", SC 2011), as numpy's Philox uses them.
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (int(_GOLDEN), 0xBB67AE8584CAA73B)
-# Philox blocks computed per pass of the bulk kernel; bounds its temporaries.
-_PHILOX_LANES = 8192
+# Philox blocks per pass of the bulk kernel and the injectors' draws; sets their peak.
+_PHILOX_LANES = 2048
 # Elements per array of one pass over rows, 128 KB of float64: a refresh
 # chunk holds 40 rows of a 400-sample class, 2 of a 6 000 one; verify's
 # prop1 and prop2 chunk their trials by it, and feature statistics, blob
@@ -63,30 +63,34 @@ def _child_id(stream_id: int, index) -> np.ndarray:
     return _splitmix64(np.uint64(stream_id) ^ _splitmix64(index))
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 64-bit words of the 128-bit products m * x, the high word
-    assembled from 32-bit halves (no partial sum below overflows)."""
-    m_lo, m_hi = m & _MASK32, m >> np.uint64(32)
-    x_lo, x_hi = x & _MASK32, x >> np.uint64(32)
-    low_cross = m_hi * x_lo + ((m_lo * x_lo) >> np.uint64(32))
-    high_cross = m_lo * x_hi + (low_cross & _MASK32)
-    high = m_hi * x_hi + (low_cross >> np.uint64(32)) + (high_cross >> np.uint64(32))
-    return m * x, high
-
-
 def _philox4x64(counter: np.ndarray, key0: int, key1: np.ndarray) -> np.ndarray:
     """Philox4x64-10 of the blocks at counters (counter, 0, 0, 0) under keys
     (key0, key1), one lane per entry: the (lanes, 4) words numpy's Philox
-    buffers for them."""
-    zero = np.zeros_like(counter)
-    c0, c1, c2, c3 = counter, zero, zero, zero
+    buffers for them.  The rounds run in place in fixed lane buffers; each
+    product's high word is built from 32-bit halves (no partial sum overflows)."""
+    c0, c1, c2, c3, hi0, hi1, k1, t0, t1 = np.zeros((9, counter.size), dtype=np.uint64)
+    c0[...], k1[...] = counter, key1
     for r in range(10):
         # Round r's key is the key bumped r times, modulo 2**64.
         k0 = np.uint64((key0 + r * _PHILOX_W[0]) & _MASK64)
-        k1 = key1 + np.uint64((r * _PHILOX_W[1]) & _MASK64)
-        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
-        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        for m, x, hi, c, k in ((_PHILOX_M[0], c0, hi0, c3, k1), (_PHILOX_M[1], c2, hi1, c1, k0)):
+            m_lo, m_hi = m & _MASK32, m >> np.uint64(32)
+            np.multiply(np.bitwise_and(x, _MASK32, out=t0), m_lo, out=t1)
+            t1 >>= np.uint64(32)
+            t0 *= m_hi
+            t0 += t1                                   # low cross
+            np.bitwise_and(t0, _MASK32, out=hi)
+            t0 >>= np.uint64(32)
+            hi += np.multiply(np.right_shift(x, np.uint64(32), out=t1), m_lo, out=t1)
+            hi >>= np.uint64(32)                       # high cross, shifted
+            hi += t0
+            hi += np.multiply(np.right_shift(x, np.uint64(32), out=t1), m_hi, out=t1)
+            hi ^= c
+            hi ^= k
+            x *= m                                     # the low word
+        k1 += np.uint64(_PHILOX_W[1])
+        # The round's words are (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0).
+        c0, c1, c2, c3, hi0, hi1 = hi1, c2, hi0, c0, c1, c3
     return np.stack([c0, c1, c2, c3], axis=1)
 
 
@@ -227,20 +231,16 @@ def softmax(logits, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def log_softmax(logits, axis: int = -1) -> np.ndarray:
-    """log(softmax(logits)) computed without leaving log space."""
-    z = np.asarray(logits, dtype=np.float64)
+def log_softmax_lse(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(softmax(z)) and log(sum(exp(z))) along the last axis from one exp
+    pass, the first written over z (a float64 array the caller owns)."""
     if not np.all(np.isfinite(z)):
-        raise ValueError("log_softmax: logits must be finite")
-    z = z - np.max(z, axis=axis, keepdims=True)
-    return z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
-
-
-def logsumexp(values, axis: int = -1):
-    """log(sum(exp(values))) along `axis`, max-shifted."""
-    v = np.asarray(values, dtype=np.float64)
-    m = np.max(v, axis=axis, keepdims=True)
-    return np.squeeze(m, axis) + np.log(np.sum(np.exp(v - m), axis=axis))
+        raise ValueError("log_softmax_lse: entries must be finite")
+    m = np.max(z, axis=-1, keepdims=True)
+    z -= m
+    log_sum = np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    z -= log_sum
+    return z, (m + log_sum)[..., 0]
 
 
 # Smallest weight whose race key -log(u)/w is finite for every nonzero draw

@@ -37,8 +37,7 @@ from .numerics import (
     RACE_MIN_WEIGHT,
     RngStream,
     _race_draw,
-    log_softmax,
-    logsumexp,
+    log_softmax_lse,
     softmax,
 )
 
@@ -113,12 +112,13 @@ def probability_shift(losses, epsilon_bias: float = 1.0) -> tuple[np.ndarray, np
 
     The change equals l*(l + eps - 1) - beta; with eps = 1 it is l^2 - beta,
     so exactly the samples with l^2 > beta lose selection probability.
-    Both probabilities are evaluated in log space.  Rows of pools, (rows, m),
-    give (rows, m) shifts and (rows,) betas; one pool gets an np.float64 beta.
+    Both probabilities are evaluated in log space, one exp pass each.  Rows of pools,
+    (rows, m), give (rows, m) shifts and (rows,) betas; one pool gets an np.float64 beta.
     """
     l = np.asarray(losses, dtype=np.float64)
-    proc = processed_loss(l, epsilon_bias)
-    return log_softmax(-l) - log_softmax(-proc), logsumexp(-l) - logsumexp(-proc)
+    shift, lse = log_softmax_lse(-l)
+    proc_shift, proc_lse = log_softmax_lse(-processed_loss(l, epsilon_bias))
+    return np.subtract(shift, proc_shift, out=shift), lse - proc_lse
 
 
 def regroup_median(own: np.ndarray, selected: np.ndarray, params: RegroupParams,

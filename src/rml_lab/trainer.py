@@ -192,7 +192,7 @@ def _train(mode: str, dataset: Dataset, model: ModelState, teacher: ModelState |
         if teacher is not None and config.warmup_epochs <= epoch + 1 < semi_from:
             cache = rml.refresh_cache(epoch + 1 - config.warmup_epochs, dataset, model,
                                       config.regroup, refresh_stream)
-            losses = cache.loss
+            losses, probs = cache.loss, None
         else:
             probs = model_ops.forward(model, dataset.features)
             losses = model_ops.per_sample_ce(probs, dataset.observed_labels)

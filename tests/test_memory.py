@@ -73,9 +73,10 @@ def test_refresh_chunks_a_large_class():
 
 
 def test_prop1_chunks_its_pools():
-    # 1.2 MB here; chunks of 655 pools give 4.6.
+    # 0.9 MB here, with one exp pass over each of a chunk's plain and
+    # processed losses (1.2 with two each); chunks of 655 pools give 3.6.
     peak, _ = traced_call(lambda: check_prop1(10_000, 100, RngStream(0, 5)))
-    assert peak < 2 * MB
+    assert peak < 1.1 * MB
 
 
 def test_prop2_chunks_its_trials():
@@ -106,17 +107,19 @@ def test_feature_stats_sums_in_blocks(blobs_1e5):
 def test_instance_dependent_works_class_by_class(blobs_1e5):
     # 10^5 samples of 10 classes: no (N, C) transition or cdf array, no
     # whole-N uniforms, flip probabilities or standardized features, no
-    # (N, d) deviation, and uint8 labels (1.3 MB here; int64 labels give
-    # 1.9, and whole classes and feature_stats by numpy's std 4.5).
+    # (N, d) deviation, and uint8 labels (0.7 MB here; Philox passes of
+    # 8 192 lanes give 1.2, int64 labels 1.35, and whole classes and
+    # feature_stats by numpy's std 4.5).
     peak, _ = traced_call(lambda: inject_instance_dependent(blobs_1e5, 0.3, RngStream(0, 24)))
-    assert peak < 1.6 * MB
+    assert peak < 1 * MB
 
 
 @pytest.mark.parametrize("inject, rate", [(inject_symmetric, 0.2), (inject_pairflip, 0.45)])
 def test_flip_injectors_draw_children_in_passes(blobs_1e5, inject, rate):
-    # 2.0 and 1.4 MB here with uint8 labels; int64 labels give 2.6 and 2.1,
+    # 0.8 and 0.55 MB here, in Philox passes of 2 048 lanes with uint8
+    # labels; passes of 8 192 give 2.0 and 1.3, int64 labels 1.5 and 1.8,
     # and whole-N indices and uniforms 3.7.
-    bound = {inject_symmetric: 2.3, inject_pairflip: 1.8}[inject]
+    bound = {inject_symmetric: 1.2, inject_pairflip: 0.9}[inject]
     peak, _ = traced_call(lambda: inject(blobs_1e5, rate, RngStream(0, 21)))
     assert peak < bound * MB
 
@@ -134,8 +137,10 @@ def test_injectors_retain_only_their_labels(inject, rate):
 
 
 def test_child_random_converts_pass_by_pass():
-    # The (10^5, 2) float64 output is 1.5 MB: 2.9 MB here, 3.7 MB with a
-    # whole (10^5, 2) uint64 word array beside it.
+    # The (10^5, 2) float64 output is 1.5 MB: 1.8 MB here, in Philox passes
+    # of 2 048 lanes; passes of 8 192 give 2.7 (2.9 with rounds that
+    # allocate), and a whole (10^5, 2) uint64 word array converted after
+    # the passes 3.1.
     indices = np.arange(10 ** 5)
     peak, _ = traced_call(lambda: child_random(RngStream(0, 3), indices, 2))
-    assert peak < 3.3 * MB
+    assert peak < 2.3 * MB

@@ -14,6 +14,7 @@ from rml_lab.numerics import (
     _race_draw,
     child_integers,
     child_random,
+    log_softmax_lse,
     softmax,
 )
 
@@ -52,6 +53,21 @@ class TestSoftmax:
             out = softmax(logits)
             assert abs(out.sum() - 1.0) < 1e-12
             assert out.argmax() == logits.argmax()
+
+
+class TestLogSoftmaxLse:
+    def test_matches_softmax_and_overwrites_input(self):
+        z = RngStream(3).uniform(-1e3, 1e3, (4, 9))
+        before = z.copy()
+        log_p, lse = log_softmax_lse(z)
+        assert log_p is z and lse.shape == (4,)
+        np.testing.assert_allclose(np.exp(log_p), softmax(before, axis=1), rtol=1e-12)
+        np.testing.assert_allclose(np.exp(before - lse[:, None]).sum(axis=1), 1.0, rtol=1e-12)
+
+    def test_rejects_non_finite(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                log_softmax_lse(np.array([0.0, bad]))
 
 
 class TestCrossEntropy:

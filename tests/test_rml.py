@@ -11,7 +11,8 @@ from rml_lab import rml
 from rml_lab.data import Dataset, feature_stats, make_blobs, standardize
 from rml_lab.model import init_model, init_optimizer
 from rml_lab.noise import inject_symmetric
-from rml_lab.numerics import LOSS_FLOOR, RACE_MIN_WEIGHT, RngStream, _race_draw, logsumexp, softmax
+from rml_lab.numerics import (LOSS_FLOOR, RACE_MIN_WEIGHT, RngStream, _race_draw, log_softmax_lse,
+                              softmax)
 from rml_lab.rml import (
     LossCache,
     RegroupParams,
@@ -94,18 +95,45 @@ class TestProbabilityShift:
         shift, beta = probability_shift(losses, epsilon_bias=2.5)
         np.testing.assert_allclose(shift, losses * (losses + 1.5) - beta, atol=1e-9)
 
+    @pytest.mark.parametrize("epsilon_bias", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("shape", [(37,), (5, 37), (163, 100)])
+    def test_matches_two_pass_composition(self, shape, epsilon_bias):
+        # The reference takes an exp pass per log-softmax and per
+        # log-sum-exp; the shift must give its bytes from one per pool.
+        def log_softmax(z):
+            z = z - np.max(z, axis=-1, keepdims=True)
+            return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+
+        def logsumexp(v):
+            m = np.max(v, axis=-1, keepdims=True)
+            return np.squeeze(m, -1) + np.log(np.sum(np.exp(v - m), axis=-1))
+
+        l = RngStream(7).uniform(0, 30, shape)
+        proc = processed_loss(l, epsilon_bias)
+        shift, beta = probability_shift(l, epsilon_bias)
+        assert shift.tobytes() == (log_softmax(-l) - log_softmax(-proc)).tobytes()
+        assert beta.tobytes() == (logsumexp(-l) - logsumexp(-proc)).tobytes()
+        assert type(beta) is np.float64 if len(shape) == 1 else beta.shape == shape[:1]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
+    def test_rejects_non_finite_losses(self, bad):
+        # 1e200 is finite, but its processed loss overflows to inf.
+        for losses in ([0.5, bad, 2.0], [[0.5, 1.0], [bad, 2.0]]):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+                probability_shift(np.array(losses))
+
     @given(st.integers(1, 6), st.integers(1, 300), st.floats(0.0, 5.0), st.integers(0, 2**32))
     @settings(max_examples=100, deadline=None)
     def test_rows_match_one_pool_calls(self, rows, m, epsilon_bias, seed):
         losses = RngStream(seed).uniform(0, 30, (rows, m))
         shift, beta = probability_shift(losses, epsilon_bias)
-        row_lse = logsumexp(-losses)
+        row_lse = log_softmax_lse(-losses)[1]
         assert shift.shape == losses.shape and beta.shape == row_lse.shape == (rows,)
         for r in range(rows):
             one_shift, one_beta = probability_shift(losses[r], epsilon_bias)
             np.testing.assert_array_equal(shift[r], one_shift)
             assert beta[r] == one_beta and isinstance(one_beta, float)
-            assert row_lse[r] == logsumexp(-losses[r])
+            assert row_lse[r] == log_softmax_lse(-losses[r])[1]
 
 
 def _rows(values, rows):

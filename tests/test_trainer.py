@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -415,6 +417,36 @@ class TestSingleForward:
         assert all(r.labeled_fraction > 0 for r in rows[4:])
         assert forwarded.tolist() == [1] * config.total_epochs
 
+
+    @pytest.mark.parametrize("mode", ["rml", "rml_semi"])
+    def test_weighted_epochs_hold_no_earlier_training_set_forward(self, mode, monkeypatch):
+        # A weighted epoch reads the refresh's cache, so the forward made
+        # for the metrics after warmup epoch 0 must not stay alive.
+        train, test = _noisy_split(seed=17, per_class=30)
+        config = RunConfig(mode=mode, total_epochs=6, batch_size=32, warmup_epochs=2,
+                           common_epochs=4 if mode == "rml_semi" else None, seed=17,
+                           regroup=RegroupParams(n=2, k=3))
+        live, alive_at_weighted = [], []
+        real_forward, real_epoch = model_ops.forward, trainer._epoch
+
+        def spy_forward(model, features):
+            probs = real_forward(model, features)
+            if len(features) == train.n_samples:
+                live.append(weakref.ref(probs))
+            return probs
+
+        def spy_epoch(*args, **kwargs):
+            if (args[7:8] or [kwargs.get("cache")])[0] is not None:
+                alive_at_weighted.append(sum(ref() is not None for ref in live))
+            return real_epoch(*args, **kwargs)
+
+        monkeypatch.setattr(model_ops, "forward", spy_forward)
+        monkeypatch.setattr(trainer, "_epoch", spy_epoch)
+        student, teacher = _fresh_models(train, seed=17)
+        trainer._train(mode, train, student, teacher, init_optimizer(student, 0.3, 6),
+                       config, test)
+        weighted = config.common_epochs - config.warmup_epochs
+        assert alive_at_weighted == [0] * weighted
 
 class TestModeGuard:
     @pytest.mark.parametrize("entry, mode", [("train_ce", "rml"), ("train_rml", "ce"),
