@@ -20,6 +20,7 @@ LOSS_FLOOR = 1e-12
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 # Philox4x64-10 multipliers and key increments (Salmon et al., "Parallel
@@ -66,25 +67,24 @@ def _child_id(stream_id: int, index) -> np.ndarray:
 def _philox4x64(counter: np.ndarray, key0: int, key1: np.ndarray) -> np.ndarray:
     """Philox4x64-10 of the blocks at counters (counter, 0, 0, 0) under keys
     (key0, key1), one lane per entry: the (lanes, 4) words numpy's Philox
-    buffers for them.  The rounds run in place in fixed lane buffers; each
-    product's high word is built from 32-bit halves (no partial sum overflows)."""
+    buffers for them, computed in place; high words from 32-bit halves."""
     c0, c1, c2, c3, hi0, hi1, k1, t0, t1 = np.zeros((9, counter.size), dtype=np.uint64)
     c0[...], k1[...] = counter, key1
     for r in range(10):
         # Round r's key is the key bumped r times, modulo 2**64.
         k0 = np.uint64((key0 + r * _PHILOX_W[0]) & _MASK64)
         for m, x, hi, c, k in ((_PHILOX_M[0], c0, hi0, c3, k1), (_PHILOX_M[1], c2, hi1, c1, k0)):
-            m_lo, m_hi = m & _MASK32, m >> np.uint64(32)
+            m_lo, m_hi = m & _MASK32, m >> _SHIFT32
             np.multiply(np.bitwise_and(x, _MASK32, out=t0), m_lo, out=t1)
-            t1 >>= np.uint64(32)
+            t1 >>= _SHIFT32
             t0 *= m_hi
             t0 += t1                                   # low cross
             np.bitwise_and(t0, _MASK32, out=hi)
-            t0 >>= np.uint64(32)
-            hi += np.multiply(np.right_shift(x, np.uint64(32), out=t1), m_lo, out=t1)
-            hi >>= np.uint64(32)                       # high cross, shifted
+            t0 >>= _SHIFT32
+            hi += np.multiply(np.right_shift(x, _SHIFT32, out=t1), m_lo, out=t1)
+            hi >>= _SHIFT32                       # high cross, shifted
             hi += t0
-            hi += np.multiply(np.right_shift(x, np.uint64(32), out=t1), m_hi, out=t1)
+            hi += np.multiply(np.right_shift(x, _SHIFT32, out=t1), m_hi, out=t1)
             hi ^= c
             hi ^= k
             x *= m                                     # the low word
@@ -138,11 +138,11 @@ def _lemire(words: np.ndarray, high: int) -> tuple[np.ndarray, np.ndarray]:
     first.  A half is rejected when the low word of half * high falls below
     2**32 % high.  Returns (values, drawn); drawn is False on a row whose
     halves were all rejected."""
-    halves = np.stack([words & _MASK32, words >> np.uint64(32)], axis=2).reshape(len(words), -1)
+    halves = np.stack([words & _MASK32, words >> _SHIFT32], axis=2).reshape(len(words), -1)
     product = halves * np.uint64(high)
     accepted = (product & _MASK32) >= np.uint64((1 << 32) % high)
     first = accepted.argmax(axis=1)
-    values = product[np.arange(len(product)), first] >> np.uint64(32)
+    values = product[np.arange(len(product)), first] >> _SHIFT32
     return values.astype(np.int64), accepted.any(axis=1)
 
 

@@ -113,7 +113,10 @@ class TestProbabilityShift:
         shift, beta = probability_shift(l, epsilon_bias)
         assert shift.tobytes() == (log_softmax(-l) - log_softmax(-proc)).tobytes()
         assert beta.tobytes() == (logsumexp(-l) - logsumexp(-proc)).tobytes()
-        assert type(beta) is np.float64 if len(shape) == 1 else beta.shape == shape[:1]
+        if len(shape) == 1:
+            assert type(beta) is np.float64
+        else:
+            assert beta.shape == shape[:1]
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
     def test_rejects_non_finite_losses(self, bad):
