@@ -32,7 +32,7 @@ def fake_tree(root: Path, side: str, rss: float, log: Path) -> Path:
     (tree / "perfbench").mkdir(parents=True)
     (tree / "perfbench" / "run.py").write_text(FAKE_RUN.format(log=str(log), side=side,
                                                                rss=rss))
-    (tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+    (tree / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 2, "end_to_end": [
         {"name": "run_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]}))
     return tree
 
@@ -44,18 +44,18 @@ def test_pairs_alternate_and_append_one_entry_per_side(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
     argv = ["--parent", str(parent), "--change", str(change), "--workload", "verify_suite",
-            "--pairs", "3", "--first-seed", "5", "--seconds", "2",
+            "--pairs", "3", "--first-seed", "5",
             "--parent-rev", "aaa", "--change-rev", "bbb", "--out-dir", str(out)]
     assert bench_pairs.main(argv) == 0
     assert log.read_text().splitlines() == [
-        f"{side} verify_suite {seed} 2.0 0" for side, seed in
+        f"{side} verify_suite {seed} 2 0" for side, seed in
         [("parent", 5), ("change", 5), ("change", 6), ("parent", 6), ("parent", 7),
          ("change", 7)]]
     entries = json.loads((out / "BENCH_verify_suite.json").read_text())
     assert [(e["side"], e["revision"]) for e in entries] == [("parent", "aaa"),
                                                             ("change", "bbb")]
     for entry, rss in zip(entries, (45.0, 44.0)):
-        assert entry["seconds"] == 2.0 and entry["cpu_count"] >= 1
+        assert entry["seconds"] == 2 and entry["cpu_count"] >= 1
         assert len(entry["loadavg_before"]) == len(entry["loadavg_after"]) == 3
         assert [r["seed"] for r in entry["runs"]] == [5, 6, 7]
         assert [r["metrics"]["peak_rss_mb"] for r in entry["runs"]] == \

@@ -3,8 +3,9 @@
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload verify_suite --pairs 10 --first-seed 101
 
-Runs `perfbench/run.py --trace 0 --seconds 30` (untraced) in each of two
-source trees, one process at a time: pair i runs both trees on seed
+Runs `perfbench/run.py --trace 0` (untraced) for the run_seconds of the
+change tree's BENCHMARK.json in each of two source trees, one process at a
+time: pair i runs both trees on seed
 first_seed + i, the parent first in even pairs and the change first in odd
 ones, so a drift in host load falls on both sides alike.  Only the last
 line of each run's stdout, its JSON summary, is read.
@@ -82,10 +83,11 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
             "beyond_iqr": abs(c_q[1] - p_q[1]) > p_q[2] - p_q[0]}
 
 
-def end_to_end(tree: Path) -> dict[str, str]:
-    """Each end-to-end metric's name and better direction."""
+def benchmark(tree: Path) -> tuple[float, dict[str, str]]:
+    """The tree's BENCHMARK.json run length and each end-to-end metric's
+    name and better direction."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return {m["name"]: m.get("better", "lower") for m in spec["end_to_end"]}
+    return spec["run_seconds"], {m["name"]: m.get("better", "lower") for m in spec["end_to_end"]}
 
 
 def record(path: Path, entries: list[dict]) -> None:
@@ -94,7 +96,8 @@ def record(path: Path, entries: list[dict]) -> None:
 
 
 def run_pairs(trees: dict[str, Path], revisions: dict[str, str], workload: str,
-              pairs: int, first_seed: int, seconds: float, out_dir: Path) -> dict:
+              pairs: int, first_seed: int, out_dir: Path) -> dict:
+    seconds, end_to_end = benchmark(trees["change"])
     runs = {side: [] for side in SIDES}
     load_before = os.getloadavg()
     for pair in range(pairs):
@@ -108,7 +111,7 @@ def run_pairs(trees: dict[str, Path], revisions: dict[str, str], workload: str,
          "loadavg_after": list(load_after), "seconds": seconds, "runs": runs[side]}
         for side in SIDES])
     report = {}
-    for name, better in end_to_end(trees["change"]).items():
+    for name, better in end_to_end.items():
         parent, change = ([run["metrics"][name] for run in runs[side]] for side in SIDES)
         report[name] = compare(parent, change, better)
     return {"runs": runs, "metrics": report}
@@ -134,7 +137,6 @@ def main(argv=None) -> int:
                         help="a workload of BENCHMARK.json; repeat for more")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--parent-rev", help="revision of --parent when it is no git checkout")
     parser.add_argument("--change-rev", help="revision of --change when it is no git checkout")
     parser.add_argument("--out-dir", type=Path, default=ROOT,
@@ -150,7 +152,7 @@ def main(argv=None) -> int:
         parser.error(f"no git revision ({exc.stderr.strip()}): pass --parent-rev/--change-rev")
     for workload in args.workload:
         print_report(workload, run_pairs(trees, revisions, workload, args.pairs,
-                                         args.first_seed, args.seconds, args.out_dir))
+                                         args.first_seed, args.out_dir))
     return 0
 
 
