@@ -23,9 +23,10 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
-# Philox4x64-10 multipliers and key increments (Salmon et al., "Parallel
-# random numbers: as easy as 1, 2, 3", SC 2011), as numpy's Philox uses them.
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+# Philox4x64-10 multipliers (each with its low and high 32-bit halves) and key
+# increments, as numpy's Philox uses them (Salmon et al., SC 2011).
+_PHILOX_M = tuple((m, m & _MASK32, m >> _SHIFT32)
+                  for m in (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)))
 _PHILOX_W = (int(_GOLDEN), 0xBB67AE8584CAA73B)
 # Philox blocks per pass of the bulk kernel and the injectors' draws; sets their peak.
 _PHILOX_LANES = 2048
@@ -65,16 +66,15 @@ def _child_id(stream_id: int, index) -> np.ndarray:
 
 
 def _philox4x64(counter: np.ndarray, key0: int, key1: np.ndarray) -> np.ndarray:
-    """Philox4x64-10 of the blocks at counters (counter, 0, 0, 0) under keys
-    (key0, key1), one lane per entry: the (lanes, 4) words numpy's Philox
-    buffers for them, computed in place; high words from 32-bit halves."""
+    """Philox4x64-10 of the blocks (counter, 0, 0, 0) under keys (key0, key1),
+    one lane per entry, in place: the (lanes, 4) words numpy's Philox buffers."""
     c0, c1, c2, c3, hi0, hi1, k1, t0, t1 = np.zeros((9, counter.size), dtype=np.uint64)
     c0[...], k1[...] = counter, key1
     for r in range(10):
         # Round r's key is the key bumped r times, modulo 2**64.
         k0 = np.uint64((key0 + r * _PHILOX_W[0]) & _MASK64)
-        for m, x, hi, c, k in ((_PHILOX_M[0], c0, hi0, c3, k1), (_PHILOX_M[1], c2, hi1, c1, k0)):
-            m_lo, m_hi = m & _MASK32, m >> _SHIFT32
+        for (m, m_lo, m_hi), x, hi, c, k in zip(_PHILOX_M, (c0, c2), (hi0, hi1), (c3, c1),
+                                                (k1, k0)):
             np.multiply(np.bitwise_and(x, _MASK32, out=t0), m_lo, out=t1)
             t1 >>= _SHIFT32
             t0 *= m_hi
