@@ -5,13 +5,14 @@ true labels and features are untouched, and the new dataset builds its
 per-class index only if something reads it.
 Per-sample randomness is keyed by sample index: sample i draws from
 rng.child(i), so extending a dataset never changes the fate of earlier
-samples.  The children are computed in passes by the bulk kernel in
-`numerics`, with the bytes each child stream gives on its own.  Every
-injector draws its children one Philox pass at a time.  The
-instance-dependent injector works one class at a time: the flip
-probabilities per pass of child draws, and the standardized features,
-transition rows and cdf in even row blocks of at most BUDGET elements per
-array, so its working set stays fixed as the data grows.
+samples.  Every injector reads its children from `numerics.child_words`,
+one Philox pass at a time, with the bytes each child stream gives on its
+own: the flip injectors over a range of sample indices, the
+instance-dependent injector over one class's members at a time.  That
+injector converts each pass to flip probabilities and drops its words
+before it computes the standardized features, transition rows and cdf in
+even row blocks of at most BUDGET elements per array, so its working set
+stays fixed as the data grows.
 """
 
 from __future__ import annotations
@@ -23,14 +24,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset, class_members, feature_stats, label_dtype
-from .numerics import (
-    _PHILOX_LANES,
-    BUDGET,
-    RngStream,
-    child_integers,
-    child_random,
-    even_blocks,
-)
+from .numerics import (BUDGET, RngStream, child_words, even_blocks, lemire_integers,
+                       unit_doubles)
 
 NOISE_KINDS = ("symmetric", "pairflip", "instance_dependent", "none")
 
@@ -82,16 +77,26 @@ def inject_symmetric(dataset: Dataset, rate: float, rng: RngStream) -> Dataset:
     """Flip each label with probability `rate`, uniformly to one of the other
     c-1 classes, so the realized noise rate matches the nominal rate.
     Sample i flips when rng.child(i).random() < rate and then draws its
-    target with that child's integers(0, c-1)."""
+    target with that child's integers(0, c-1).  Both come from the child's
+    first Philox block: word 0 is the uniform, and words 1-3 hold the six
+    halves the target's draw reads first.  A row whose six halves are all
+    rejected (p < 1e-38 for c <= 1000) draws from the child's own generator."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"inject_symmetric: rate must be in [0, 1), got {rate}")
     if dataset.num_classes < 2:
         raise ValueError("inject_symmetric: need at least 2 classes")
     c = dataset.num_classes
     labels = dataset.observed_labels.copy()
-    flip = _flipped(rng, labels.size, rate)
-    target = child_integers(rng, flip, c - 1, skip=1)
-    labels[flip] = target + (target >= labels[flip])
+    for block, words in child_words(rng, range(labels.size), 4):
+        flip = np.flatnonzero(unit_doubles(words[:, 0]) < rate)
+        target, drawn = lemire_integers(words[flip, 1:], c - 1)
+        del words
+        flip += block.start
+        for r in np.flatnonzero(~drawn).tolist():
+            gen = rng.child(int(flip[r])).generator
+            gen.random()
+            target[r] = gen.integers(0, c - 1)
+        labels[flip] = target + (target >= labels[flip])
     return dataset.with_observed_labels(labels)
 
 
@@ -103,19 +108,11 @@ def inject_pairflip(dataset: Dataset, rate: float, rng: RngStream) -> Dataset:
         raise ValueError(f"inject_pairflip: rate must be in [0, 0.5), got {rate}")
     c = dataset.num_classes
     labels = dataset.observed_labels.copy()
-    flip = _flipped(rng, labels.size, rate)
-    labels[flip] = (labels[flip] + 1) % c
+    for block, words in child_words(rng, range(labels.size), 1):
+        flip = block.start + np.flatnonzero(unit_doubles(words[:, 0]) < rate)
+        del words
+        labels[flip] = (labels[flip] + 1) % c
     return dataset.with_observed_labels(labels)
-
-
-def _flipped(rng: RngStream, n: int, rate: float) -> np.ndarray:
-    """The samples i < n whose rng.child(i).random() is below `rate`, in
-    order, drawn one _PHILOX_LANES pass at a time."""
-    flip = np.empty(n, dtype=bool)
-    for start in range(0, n, _PHILOX_LANES):
-        rows = np.arange(start, min(start + _PHILOX_LANES, n))
-        flip[start:start + rows.size] = child_random(rng, rows, 1)[:, 0] < rate
-    return np.flatnonzero(flip)
 
 
 def inject_instance_dependent(dataset: Dataset, rate: float, rng: RngStream) -> Dataset:
@@ -144,9 +141,10 @@ def inject_instance_dependent(dataset: Dataset, rate: float, rng: RngStream) -> 
         members = class_members(dataset.observed_labels, label)
         # One Philox pass of child draws at a time, and the (rows, c) scores
         # and cdf in even blocks of at most BUDGET elements.
-        for draws in even_blocks(members.size, _PHILOX_LANES):
+        for draws, words in child_words(rng, members, 2):
             rows = members[draws]
-            u_flip, u_target = child_random(rng, rows, 2).T
+            u_flip, u_target = unit_doubles(words).T
+            del words
             q = _flip_probabilities(u_flip, rate)
             for block in even_blocks(rows.size, BUDGET // max(c, d)):
                 part = rows[block]

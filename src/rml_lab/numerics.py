@@ -5,9 +5,10 @@ Everything here is pure given its inputs.  Random functions take an explicit
 RngStream, numpy's Philox keyed by (seed, stream_id) or by `child(i)` of one:
 a key replays the same sequence bit for bit, across runs and machines, and
 rows read in order give the same values however they are chunked.  The noise
-injectors draw per-index children in bulk: `child_random` and
-`child_integers` run Philox4x64-10 in place in numpy, in passes of at
-most _PHILOX_LANES blocks, and give each child's own bytes.
+injectors draw per-index children in bulk: `child_words` runs
+Philox4x64-10 in place in numpy, one pass of at most _PHILOX_LANES blocks
+at a time, and yields each child's own words; `unit_doubles` turns them
+into numpy's doubles.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _PHILOX_M = tuple((m, m & _MASK32, m >> _SHIFT32)
                   for m in (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)))
 _PHILOX_W = (int(_GOLDEN), 0xBB67AE8584CAA73B)
-# Philox blocks per pass of the bulk kernel and the injectors' draws; sets their peak.
+# Philox blocks per pass of child_words; sets the injectors' peak.
 _PHILOX_LANES = 2048
 # Elements per array of one pass over rows, 128 KB of float64: a refresh
 # chunk holds 40 rows of a 400-sample class, 2 of a 6 000 one; verify's
@@ -59,17 +60,21 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 
 def _child_id(stream_id: int, index) -> np.ndarray:
-    """Stream ids of children `index` (an int array, taken modulo 2**64) of
-    stream `stream_id`."""
+    """Stream ids of children `index` (an int array or a range, taken modulo
+    2**64) of stream `stream_id`."""
+    if isinstance(index, range):
+        index = np.arange(index.start, index.stop, index.step)
     index = np.asarray(index).astype(np.uint64)
     return _splitmix64(np.uint64(stream_id) ^ _splitmix64(index))
 
 
-def _philox4x64(counter: np.ndarray, key0: int, key1: np.ndarray) -> np.ndarray:
-    """Philox4x64-10 of the blocks (counter, 0, 0, 0) under keys (key0, key1),
-    one lane per entry, in place: the (lanes, 4) words numpy's Philox buffers."""
-    c0, c1, c2, c3, hi0, hi1, k1, t0, t1 = np.zeros((9, counter.size), dtype=np.uint64)
-    c0[...], k1[...] = counter, key1
+def _philox4x64(key0: int, key1: np.ndarray, blocks: int) -> np.ndarray:
+    """Philox4x64-10 of the blocks (1..blocks, 0, 0, 0) under keys (key0, k)
+    for each k of key1, one lane per block, in place: the (key1.size *
+    blocks, 4) words numpy's Philox buffers, `blocks` rows per key."""
+    c0, c1, c2, c3, hi0, hi1, k1, t0, t1 = np.zeros((9, key1.size * blocks), dtype=np.uint64)
+    c0.reshape(-1, blocks)[...] = np.arange(1, blocks + 1, dtype=np.uint64)
+    k1.reshape(-1, blocks)[...] = key1[:, None]
     for r in range(10):
         # Round r's key is the key bumped r times, modulo 2**64.
         k0 = np.uint64((key0 + r * _PHILOX_W[0]) & _MASK64)
@@ -94,83 +99,45 @@ def _philox4x64(counter: np.ndarray, key0: int, key1: np.ndarray) -> np.ndarray:
     return np.stack([c0, c1, c2, c3], axis=1)
 
 
-def _child_passes(stream: "RngStream", indices, count: int):
-    """Yield (start, words) per pass: row r of words holds the first `count`
-    64-bit words of stream.child(indices[start + r]).
+def child_words(stream: "RngStream", indices, count: int):
+    """Yield (block, words) per Philox pass: `block` is a slice of
+    `indices` (an int array or a range), and row r of words holds the first
+    `count` 64-bit words of stream.child(indices[block][r]).
 
     numpy's Philox steps its counter before it generates, so a fresh stream's
     word j sits in the block at counter j // 4 + 1.  Every block is computed
-    on its own, so a pass of at most _PHILOX_LANES blocks, child ids
-    included, gives the bytes a whole-array pass would.
+    on its own, so passes of at most _PHILOX_LANES blocks, even as
+    `even_blocks` cuts them, give the bytes a whole-array pass would.  The
+    words are the caller's alone: a loop body that drops them before its own
+    work keeps them out of its peak.
     """
-    indices = np.asarray(indices)
     blocks = -(-count // 4)
-    rows = max(1, _PHILOX_LANES // blocks)
-    counter = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), min(rows, indices.size))
-    for start in range(0, indices.size, rows):
-        key1 = np.repeat(_child_id(stream.stream_id, indices[start:start + rows]), blocks)
-        words = _philox4x64(counter[:key1.size], stream.seed, key1)
-        yield start, words.reshape(-1, blocks * 4)[:, :count]
+    for block in even_blocks(len(indices), _PHILOX_LANES // blocks):
+        yield block, _philox4x64(stream.seed, _child_id(stream.stream_id, indices[block]),
+                                 blocks).reshape(-1, blocks * 4)[:, :count]
 
 
-def _child_words(stream: "RngStream", indices, count: int) -> np.ndarray:
-    """Row r holds the first `count` 64-bit words of stream.child(indices[r])."""
-    out = np.empty((np.size(indices), count), dtype=np.uint64)
-    for start, words in _child_passes(stream, indices, count):
-        out[start:start + len(words)] = words
-    return out
+def unit_doubles(words: np.ndarray) -> np.ndarray:
+    """numpy's doubles (w >> 11) * 2**-53 of 64-bit words w, as
+    Generator.random() makes them."""
+    return (words >> np.uint64(11)) * 2.0 ** -53
 
 
-def child_random(stream: "RngStream", indices, count: int) -> np.ndarray:
-    """Row r is stream.child(indices[r]).random(count), bit for bit: numpy's
-    doubles (w >> 11) * 2**-53 of each child's words, one pass at a time."""
-    out = np.empty((np.size(indices), count))
-    for start, words in _child_passes(stream, indices, count):
-        block = out[start:start + len(words)]
-        block[...] = words >> np.uint64(11)
-        block *= 2.0 ** -53
-    return out
-
-
-def _lemire(words: np.ndarray, high: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's Generator.integers(0, high), 2 <= high < 2**32, per row of
+def lemire_integers(words: np.ndarray, high: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Generator.integers(0, high), 1 <= high < 2**32, per row of
     `words`: Lemire's multiply-and-reject over their 32-bit halves, low half
     first.  A half is rejected when the low word of half * high falls below
     2**32 % high.  Returns (values, drawn); drawn is False on a row whose
     halves were all rejected."""
-    halves = np.stack([words & _MASK32, words >> _SHIFT32], axis=2).reshape(len(words), -1)
+    if not 1 <= high < 1 << 32:
+        raise ValueError(f"lemire_integers: high must be in [1, 2**32), got {high}")
+    rows, width = words.shape
+    halves = np.stack([words & _MASK32, words >> _SHIFT32], axis=2).reshape(rows, 2 * width)
     product = halves * np.uint64(high)
     accepted = (product & _MASK32) >= np.uint64((1 << 32) % high)
     first = accepted.argmax(axis=1)
-    values = product[np.arange(len(product)), first] >> _SHIFT32
+    values = product[np.arange(rows), first] >> _SHIFT32
     return values.astype(np.int64), accepted.any(axis=1)
-
-
-def child_integers(stream: "RngStream", indices, high: int, skip: int) -> np.ndarray:
-    """Entry r is what stream.child(indices[r]).integers(0, high) gives after
-    `skip` words were drawn from that child (one per random() value);
-    1 <= high < 2**32.  Runs one pass of at most _PHILOX_LANES rows at a time.
-
-    The draw reads the three words after the skipped ones; a row whose six
-    halves are all rejected (p < 1e-38 for high <= 1000) reads on, one more
-    block at a time.
-    """
-    if not 1 <= high < 1 << 32:
-        raise ValueError(f"child_integers: high must be in [1, 2**32), got {high}")
-    indices = np.asarray(indices)
-    values = np.zeros(indices.size, dtype=np.int64)
-    if high == 1:
-        return values   # numpy returns low without drawing
-    for start in range(0, indices.size, _PHILOX_LANES):
-        todo = np.arange(start, min(start + _PHILOX_LANES, indices.size))
-        count = skip + 3
-        while todo.size:
-            drawn_values, drawn = _lemire(_child_words(stream, indices[todo], count)[:, skip:],
-                                          high)
-            values[todo[drawn]] = drawn_values[drawn]
-            todo = todo[~drawn]
-            count += 4
-    return values
 
 
 class RngStream:

@@ -50,12 +50,16 @@ class RunConfig:
             raise ValueError(f"RunConfig: unknown mode {self.mode!r}")
         if self.batch_size < 1:
             raise ValueError("RunConfig: batch_size must be >= 1")
+        if min(self.total_epochs, self.warmup_epochs) < 0:
+            raise ValueError(f"RunConfig: total_epochs ({self.total_epochs}) and "
+                             f"warmup_epochs ({self.warmup_epochs}) must be >= 0")
         if self.common_epochs is None:
             self.common_epochs = self.total_epochs
         if self.common_epochs > self.total_epochs:
             raise ValueError("RunConfig: common_epochs must not exceed total_epochs")
-        if self.mode != "ce" and self.warmup_epochs < 1:
-            raise ValueError("RunConfig: rml modes need warmup_epochs >= 1")
+        if self.mode != "ce" and not 1 <= self.warmup_epochs < self.total_epochs:
+            raise ValueError(f"RunConfig: rml modes need 1 <= warmup_epochs "
+                             f"({self.warmup_epochs}) < total_epochs ({self.total_epochs})")
         if self.mode == "rml_semi" and self.common_epochs < self.warmup_epochs:
             raise ValueError("RunConfig: common_epochs must cover the warmup")
         if not 0.0 <= self.ema_lambda <= 1.0:
@@ -170,12 +174,13 @@ def _train(mode: str, dataset: Dataset, model: ModelState, teacher: ModelState |
     # its last epoch.
     semi_from = config.common_epochs if mode == "rml_semi" else config.total_epochs + 1
     rows = []
-    probs = None   # the post-epoch training-set forward, when not a refresh's
+    probs = None   # the post-epoch training-set forward, kept for a semi epoch
     for epoch in range(config.total_epochs):
         labeled_fraction = float("nan")
         if epoch >= semi_from:
             # No refresh ran after epoch - 1, so `probs` is this model's.
             labeled, unlabeled = separate(dataset, probs, teacher)
+            probs = None
             labeled_fraction = labeled.size / dataset.n_samples
             if labeled.size:
                 train_loss = _epoch(dataset, model, teacher, opt, config, epoch, labeled,
@@ -192,12 +197,14 @@ def _train(mode: str, dataset: Dataset, model: ModelState, teacher: ModelState |
         if teacher is not None and config.warmup_epochs <= epoch + 1 < semi_from:
             cache = rml.refresh_cache(epoch + 1 - config.warmup_epochs, dataset, model,
                                       config.regroup, refresh_stream)
-            losses, probs = cache.loss, None
+            losses = cache.loss
         else:
             probs = model_ops.forward(model, dataset.features)
             losses = model_ops.per_sample_ce(probs, dataset.observed_labels)
         rows.append(_epoch_metrics(epoch, train_loss, dataset, losses, test, model,
                                    config.regroup.epsilon_bias, labeled_fraction))
+        if epoch + 1 < semi_from:
+            probs = None
     return rows
 
 

@@ -110,6 +110,7 @@ def check_prop2(trials: int, rng: RngStream, n: int = 6, k: int = 10,
         raise ValueError("check_prop2: trials must be >= 1")
     if epsilon_r <= 0:
         raise ValueError("check_prop2: epsilon_r must be > 0")
+    rml.RegroupParams(n=n, k=k)   # names a bad n or k before the bound divides by them
     var = scale ** 2
     bound, margin = deviation_bound(n, k, var, epsilon_r)
     vacuous = margin <= 0

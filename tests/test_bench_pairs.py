@@ -27,9 +27,16 @@ print(json.dumps({{"correct": True, "attempted": 7, "failed": 0, "metrics": {{
 """
 
 
-def fake_tree(root: Path, side: str, rss: float, log: Path) -> Path:
+def fake_tree(root: Path, side: str, rss: float, log: Path, host: bool = True) -> Path:
+    """A tree whose rml_lab.cli._host() names its side; with host=False it
+    has no src/ at all, as a commit from before _host would lack one."""
     tree = root / side
     (tree / "perfbench").mkdir(parents=True)
+    if host:
+        (tree / "src" / "rml_lab").mkdir(parents=True)
+        (tree / "src" / "rml_lab" / "__init__.py").write_text("")
+        (tree / "src" / "rml_lab" / "cli.py").write_text(
+            f"def _host():\n    return {{'side': {side!r}}}\n")
     (tree / "perfbench" / "run.py").write_text(FAKE_RUN.format(log=str(log), side=side,
                                                                rss=rss))
     (tree / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 2, "end_to_end": [
@@ -48,14 +55,17 @@ def test_pairs_alternate_and_append_one_entry_per_side(tmp_path, capsys):
             "--parent-rev", "aaa", "--change-rev", "bbb", "--out-dir", str(out)]
     assert bench_pairs.main(argv) == 0
     assert log.read_text().splitlines() == [
-        f"{side} verify_suite {seed} 2 0" for side, seed in
+        f"{side} verify_suite {seed} 2.0 0" for side, seed in
         [("parent", 5), ("change", 5), ("change", 6), ("parent", 6), ("parent", 7),
          ("change", 7)]]
     entries = json.loads((out / "BENCH_verify_suite.json").read_text())
     assert [(e["side"], e["revision"]) for e in entries] == [("parent", "aaa"),
                                                             ("change", "bbb")]
     for entry, rss in zip(entries, (45.0, 44.0)):
-        assert entry["seconds"] == 2 and entry["cpu_count"] >= 1
+        # Each side's host comes from its own tree, not from this process.
+        assert entry["host"] == {"side": entry["side"]}
+        assert entry["seconds"] == 2.0 and isinstance(entry["seconds"], float)
+        assert entry["cpu_count"] >= 1
         assert len(entry["loadavg_before"]) == len(entry["loadavg_after"]) == 3
         assert [r["seed"] for r in entry["runs"]] == [5, 6, 7]
         assert [r["metrics"]["peak_rss_mb"] for r in entry["runs"]] == \
@@ -76,3 +86,13 @@ def test_compare_counts_ties_for_neither_side():
     assert got["wins"] == 2 and got["pairs"] == 4
     assert got["parent"] == (2.75, 3.5, 4.25) and not got["beyond_iqr"]
     assert bench_pairs.compare([1.0, 1.0], [2.0, 3.0], "higher")["wins"] == 2
+
+
+def test_tree_without_host_records_null(tmp_path):
+    log = tmp_path / "order.log"
+    trees = {"parent": fake_tree(tmp_path, "parent", 45.0, log, host=False),
+             "change": fake_tree(tmp_path, "change", 44.0, log)}
+    bench_pairs.run_pairs(trees, {"parent": "aaa", "change": "bbb"}, "verify_suite", 1, 3,
+                          tmp_path)
+    entries = json.loads((tmp_path / "BENCH_verify_suite.json").read_text())
+    assert [e["host"] for e in entries] == [None, {"side": "change"}]

@@ -13,7 +13,7 @@ import pytest
 from rml_lab import model as model_ops
 from rml_lab.data import Dataset, feature_stats, make_blobs
 from rml_lab.noise import inject_instance_dependent, inject_pairflip, inject_symmetric
-from rml_lab.numerics import RngStream, child_random, softmax
+from rml_lab.numerics import RngStream, child_words, softmax, unit_doubles
 from rml_lab.rml import RegroupParams, regroup_estimates
 from rml_lab.verify import check_prop1, check_prop2
 
@@ -116,12 +116,13 @@ def test_instance_dependent_works_class_by_class(blobs_1e5):
 
 @pytest.mark.parametrize("inject, rate", [(inject_symmetric, 0.2), (inject_pairflip, 0.45)])
 def test_flip_injectors_draw_children_in_passes(blobs_1e5, inject, rate):
-    # 0.8 and 0.55 MB here, in Philox passes of 2 048 lanes with uint8
-    # labels; passes of 8 192 give 2.0 and 1.3, int64 labels 1.5 and 1.8,
-    # and whole-N indices and uniforms 3.7.
-    bound = {inject_symmetric: 1.2, inject_pairflip: 0.9}[inject]
+    # 0.33 MB each here: one Philox pass of 2 048 lanes per sample, with
+    # uint8 labels and no N-long index.  Drawing the flips into an N-long
+    # mask and index first, and the symmetric targets in a second pass, gave
+    # 0.8 and 0.55; passes of 8 192 give 2.0 and 1.3, and whole-N indices and
+    # uniforms 3.7.
     peak, _ = traced_call(lambda: inject(blobs_1e5, rate, RngStream(0, 21)))
-    assert peak < bound * MB
+    assert peak < 0.45 * MB
 
 
 @pytest.mark.parametrize("inject, rate", [(inject_symmetric, 0.2), (inject_pairflip, 0.45),
@@ -136,11 +137,18 @@ def test_injectors_retain_only_their_labels(inject, rate):
     assert retained < 0.2 * MB
 
 
-def test_child_random_converts_pass_by_pass():
-    # The (10^5, 2) float64 output is 1.5 MB: 1.8 MB here, in Philox passes
-    # of 2 048 lanes; passes of 8 192 give 2.7 (2.9 with rounds that
-    # allocate), and a whole (10^5, 2) uint64 word array converted after
-    # the passes 3.1.
+def test_child_words_converts_pass_by_pass():
+    # Every pass of 10^5 children's first two words, turned into numpy's
+    # doubles in a (10^5, 2) float64 output of 1.5 MB: 1.8 MB here, in
+    # Philox passes of 2 048 lanes; passes of 8 192 give 2.6, and one pass
+    # over every child 12.2.
     indices = np.arange(10 ** 5)
-    peak, _ = traced_call(lambda: child_random(RngStream(0, 3), indices, 2))
+
+    def draw():
+        out = np.empty((indices.size, 2))
+        for block, words in child_words(RngStream(0, 3), indices, 2):
+            out[block] = unit_doubles(words)
+        return out
+
+    peak, _ = traced_call(draw)
     assert peak < 2.3 * MB

@@ -24,7 +24,8 @@ from rml_lab.noise import (
     inject_symmetric,
     instance_flip_distribution,
 )
-from rml_lab.numerics import RngStream, child_random
+from rml_lab import noise
+from rml_lab.numerics import _PHILOX_LANES, RngStream
 
 
 def _big_clean(n_classes=10, per_class=10_000, dim=4, seed=0):
@@ -97,6 +98,61 @@ class TestSymmetric:
         np.testing.assert_array_equal(
             a.observed_labels, b.observed_labels[: small.n_samples]
         )
+
+
+def _symmetric_by_scalar_route(labels, c, rate, rng):
+    """inject_symmetric one child generator at a time, as numpy draws."""
+    out = labels.astype(np.int64)
+    for i in range(out.size):
+        gen = rng.child(i).generator
+        if gen.random() < rate:
+            target = gen.integers(0, c - 1)
+            out[i] = target + (target >= out[i])
+    return out
+
+
+def _cyclic(c, n=2 * _PHILOX_LANES + 37):
+    """n samples labeled i mod c: more than two Philox passes, so the draws
+    cross pass edges."""
+    labels = np.arange(n) % c
+    return Dataset(np.zeros((n, 1)), labels, c, true_labels=labels)
+
+
+class TestSymmetricScalarRoute:
+    @pytest.mark.parametrize("c", [2, 3, 10, 256, 1001])
+    def test_labels_match_scalar_route(self, c):
+        ds, rng = _cyclic(c), RngStream(4, 21)
+        out = inject_symmetric(ds, 0.5, rng)
+        np.testing.assert_array_equal(
+            out.observed_labels, _symmetric_by_scalar_route(ds.observed_labels, c, 0.5, rng))
+
+    def test_exhausted_rows_take_numpys_draw(self, monkeypatch):
+        # Every half the target's draw reads from the first block is one
+        # integers(0, 9) rejects: each flipped row must get numpy's own draw,
+        # which reads on past that block of its real stream.
+        rejected = np.array([0 | 954437177 << 32, 1908874354 | 2863311531 << 32,
+                             0 | 954437177 << 32], dtype=np.uint64)
+        real_words, real_lemire = noise.child_words, noise.lemire_integers
+        exhausted = []
+
+        def rejected_words(stream, indices, count):
+            for block, words in real_words(stream, indices, count):
+                words[:, 1:4] = rejected
+                yield block, words
+
+        def spy_lemire(words, high):
+            values, drawn = real_lemire(words, high)
+            exhausted.append(int(np.count_nonzero(~drawn)))
+            return values, drawn
+
+        monkeypatch.setattr(noise, "child_words", rejected_words)
+        monkeypatch.setattr(noise, "lemire_integers", spy_lemire)
+        ds, rng = _cyclic(10, n=300), RngStream(6, 2)
+        out = inject_symmetric(ds, 0.6, rng)
+        flipped = corruption_mask(out)
+        assert sum(exhausted) == np.count_nonzero(flipped) > 100
+        np.testing.assert_array_equal(
+            out.observed_labels, _symmetric_by_scalar_route(ds.observed_labels, 10, 0.6, rng))
 
 
 class TestPairflip:
@@ -190,7 +246,7 @@ class TestLabelTypeBoundary:
         rng = RngStream(c, 2)
         out = inject_symmetric(ds, 0.5, rng)
         assert out.observed_labels.dtype == label_dtype(c)
-        drawn = child_random(rng, np.arange(ds.n_samples), 1)[:, 0] < 0.5
+        drawn = np.array([rng.child(i).random() for i in range(ds.n_samples)]) < 0.5
         np.testing.assert_array_equal(corruption_mask(out), drawn)
         targets = out.observed_labels[drawn].astype(np.int64)
         assert targets.min() == 0 and targets.max() == c - 1

@@ -10,12 +10,13 @@ from rml_lab.numerics import (
     RACE_MIN_WEIGHT,
     RngStream,
     _PHILOX_LANES,
-    _lemire,
     _race_draw,
-    child_integers,
-    child_random,
+    child_words,
+    even_blocks,
+    lemire_integers,
     log_softmax_lse,
     softmax,
+    unit_doubles,
 )
 
 
@@ -189,24 +190,66 @@ def _philox_words(halves):
                     dtype=np.uint64)
 
 
+def _passes(stream, indices, count):
+    """child_words' passes stacked in order, after checking that they are
+    the even blocks of _PHILOX_LANES Philox blocks that tile `indices`."""
+    passes = list(child_words(stream, indices, count))
+    most = _PHILOX_LANES // -(-count // 4)
+    assert [block for block, _ in passes] == even_blocks(len(indices), most)
+    assert sum(len(words) for _, words in passes) == len(indices)
+    if not passes:
+        return np.empty((0, count), dtype=np.uint64)
+    return np.concatenate([words for _, words in passes])
+
+
+def _numpy_rows(base, indices, count):
+    """Per child, numpy's own first `count` raw words and doubles."""
+    raw = np.array([base.child(int(i)).generator.bit_generator.random_raw(count)
+                    for i in indices], dtype=np.uint64).reshape(-1, count)
+    doubles = np.array([base.child(int(i)).random(count) for i in indices]).reshape(-1, count)
+    return raw, doubles
+
+
 class TestChildKernel:
     @pytest.mark.parametrize("seed,stream_id", KERNEL_KEYS)
     def test_matches_scalar_route(self, seed, stream_id):
+        # 2 x pass + 37 children, two Philox blocks each: the draws cross
+        # pass edges.
         base = RngStream(seed, stream_id)
-        expected = np.array([base.child(i).random(8) for i in range(20_000)])
-        np.testing.assert_array_equal(child_random(base, np.arange(20_000), 8), expected)
+        indices = range(2 * _PHILOX_LANES + 37)
+        raw, doubles = _numpy_rows(base, indices, 8)
+        words = _passes(base, indices, 8)
+        np.testing.assert_array_equal(words, raw)
+        np.testing.assert_array_equal(unit_doubles(words), doubles)
 
     def test_far_and_negative_indices(self):
         base = RngStream(9, 1)
         indices = np.array([0, 1, 42, 7, 2**40, -3])
-        expected = np.array([base.child(int(i)).random(8) for i in indices])
-        np.testing.assert_array_equal(child_random(base, indices, 8), expected)
+        raw, doubles = _numpy_rows(base, indices, 8)
+        words = _passes(base, indices, 8)
+        np.testing.assert_array_equal(words, raw)
+        np.testing.assert_array_equal(unit_doubles(words), doubles)
 
     def test_counts_across_blocks(self):
         base = RngStream(3, 5)
+        indices = range(2 * _PHILOX_LANES + 37)
         for count in (1, 5, 13):
-            expected = np.array([base.child(i).random(count) for i in range(50)])
-            np.testing.assert_array_equal(child_random(base, np.arange(50), count), expected)
+            raw, doubles = _numpy_rows(base, indices, count)
+            words = _passes(base, indices, count)
+            np.testing.assert_array_equal(words, raw)
+            np.testing.assert_array_equal(unit_doubles(words), doubles)
+            # An int array gives what a range gives.
+            np.testing.assert_array_equal(_passes(base, np.arange(len(indices)), count), words)
+
+    def test_no_indices_no_pass(self):
+        assert list(child_words(RngStream(0), range(0), 4)) == []
+
+    @staticmethod
+    def _integers(base, indices, high):
+        """lemire_integers on words 1-3 of each child, where it draws."""
+        values, drawn = lemire_integers(_passes(base, indices, 4)[:, 1:], high)
+        assert drawn.all()
+        return values
 
     @pytest.mark.parametrize("high", [1, 2, 9, 1000, 2**32 - 7])
     def test_integers_match_scalar_route(self, high):
@@ -218,8 +261,7 @@ class TestChildKernel:
             return gen.integers(0, high)
 
         expected = [scalar(i) for i in range(2_000)]
-        np.testing.assert_array_equal(child_integers(base, np.arange(2_000), high, skip=1),
-                                      expected)
+        np.testing.assert_array_equal(self._integers(base, range(2_000), high), expected)
 
     def test_integers_across_passes(self):
         # More indices than one pass holds, so the draw crosses pass edges.
@@ -231,13 +273,13 @@ class TestChildKernel:
             gen.random()
             return gen.integers(0, 9)
 
-        np.testing.assert_array_equal(child_integers(base, indices, 9, skip=1),
+        np.testing.assert_array_equal(self._integers(base, indices, 9),
                                       [scalar(i) for i in indices.tolist()])
 
     @pytest.mark.parametrize("high", [0, -1, 2**32, 2**32 + 5])
     def test_integers_reject_high_out_of_range(self, high):
         with pytest.raises(ValueError, match=f"got {high}"):
-            child_integers(RngStream(0), np.arange(3), high, skip=1)
+            lemire_integers(np.zeros((3, 3), dtype=np.uint64), high)
 
     @pytest.mark.parametrize("rejected", [1, 3, 5])
     def test_lemire_rejection_matches_numpy(self, rejected):
@@ -248,36 +290,10 @@ class TestChildKernel:
         state["buffer"] = words
         state["buffer_pos"] = 0
         gen.bit_generator.state = state
-        values, drawn = _lemire(words[None, :], 9)
+        values, drawn = lemire_integers(words[None, :], 9)
         assert drawn[0]
         assert values[0] == gen.integers(0, 9)
 
     def test_lemire_reports_exhausted_rows(self):
-        values, drawn = _lemire(_philox_words(REJECTED_9 * 2)[None, :], 9)
+        values, drawn = lemire_integers(_philox_words(REJECTED_9 * 2)[None, :], 9)
         assert not drawn[0]
-
-    def test_child_integers_reads_on_past_the_first_block(self, monkeypatch):
-        # Every half after the skipped word of the first block is rejected:
-        # the draw must come from the second block, as numpy's does.
-        import rml_lab.numerics as numerics
-
-        base = RngStream(6, 2)
-        rejected = _philox_words(REJECTED_9 + REJECTED_9[:2])
-        real = numerics._child_words
-
-        def first_block_rejected(stream, indices, count):
-            words = real(stream, indices, count)
-            words[:, 1:4] = rejected
-            return words
-
-        def numpy_draw(i):
-            gen = base.child(i).generator
-            gen.random()
-            state = gen.bit_generator.state
-            state["buffer"][1:4] = rejected
-            gen.bit_generator.state = state
-            return gen.integers(0, 9)
-
-        monkeypatch.setattr(numerics, "_child_words", first_block_rejected)
-        got = child_integers(base, np.arange(3), 9, skip=1)
-        np.testing.assert_array_equal(got, [numpy_draw(i) for i in range(3)])

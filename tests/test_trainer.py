@@ -418,15 +418,17 @@ class TestSingleForward:
         assert forwarded.tolist() == [1] * config.total_epochs
 
 
-    @pytest.mark.parametrize("mode", ["rml", "rml_semi"])
+    @pytest.mark.parametrize("mode", ["ce", "rml", "rml_semi"])
     def test_weighted_epochs_hold_no_earlier_training_set_forward(self, mode, monkeypatch):
-        # A weighted epoch reads the refresh's cache, so the forward made
-        # for the metrics after warmup epoch 0 must not stay alive.
+        # No epoch's SGD steps run beside an earlier training-set forward: a
+        # weighted epoch reads the refresh's cache, a `ce` or warmup epoch
+        # reads nothing, and a semi epoch drops the forward once its
+        # agreement split has read it.
         train, test = _noisy_split(seed=17, per_class=30)
         config = RunConfig(mode=mode, total_epochs=6, batch_size=32, warmup_epochs=2,
                            common_epochs=4 if mode == "rml_semi" else None, seed=17,
                            regroup=RegroupParams(n=2, k=3))
-        live, alive_at_weighted = [], []
+        live, alive_at_epoch = [], []
         real_forward, real_epoch = model_ops.forward, trainer._epoch
 
         def spy_forward(model, features):
@@ -436,17 +438,15 @@ class TestSingleForward:
             return probs
 
         def spy_epoch(*args, **kwargs):
-            if (args[7:8] or [kwargs.get("cache")])[0] is not None:
-                alive_at_weighted.append(sum(ref() is not None for ref in live))
+            alive_at_epoch.append(sum(ref() is not None for ref in live))
             return real_epoch(*args, **kwargs)
 
         monkeypatch.setattr(model_ops, "forward", spy_forward)
         monkeypatch.setattr(trainer, "_epoch", spy_epoch)
         student, teacher = _fresh_models(train, seed=17)
-        trainer._train(mode, train, student, teacher, init_optimizer(student, 0.3, 6),
-                       config, test)
-        weighted = config.common_epochs - config.warmup_epochs
-        assert alive_at_weighted == [0] * weighted
+        trainer._train(mode, train, student, None if mode == "ce" else teacher,
+                       init_optimizer(student, 0.3, 6), config, test)
+        assert alive_at_epoch == [0] * config.total_epochs
 
 class TestModeGuard:
     @pytest.mark.parametrize("entry, mode", [("train_ce", "rml"), ("train_rml", "ce"),
@@ -466,6 +466,24 @@ class TestRunConfigValidation:
     def test_warmup_required_for_rml(self):
         with pytest.raises(ValueError):
             RunConfig(mode="rml", warmup_epochs=0)
+
+    @pytest.mark.parametrize("mode, total, warmup", [
+        ("ce", -3, 5), ("ce", 10, -1), ("rml", -3, 5), ("rml_semi", 10, -2),
+    ])
+    def test_negative_epochs_rejected(self, mode, total, warmup):
+        with pytest.raises(ValueError, match=rf"total_epochs \({total}\) and "
+                                             rf"warmup_epochs \({warmup}\) must be >= 0"):
+            RunConfig(mode=mode, total_epochs=total, warmup_epochs=warmup)
+
+    @pytest.mark.parametrize("mode", ["rml", "rml_semi"])
+    @pytest.mark.parametrize("warmup", [3, 10])
+    def test_warmup_must_end_before_the_run(self, mode, warmup):
+        # A warmup that covers the run would never refresh: plain CE under
+        # the rml name.  One weighted epoch is enough.
+        with pytest.raises(ValueError, match=rf"warmup_epochs \({warmup}\) < "
+                                             r"total_epochs \(3\)"):
+            RunConfig(mode=mode, total_epochs=3, warmup_epochs=warmup)
+        RunConfig(mode=mode, total_epochs=warmup + 1, warmup_epochs=warmup)
 
     def test_common_epochs_bounded(self):
         with pytest.raises(ValueError):

@@ -143,6 +143,15 @@ class TestCheckProp2:
         with pytest.raises(ValueError, match="epsilon_r must be > 0"):
             check_prop2(10, RngStream(0, 6), epsilon_r=0.0)
 
+    @pytest.mark.parametrize("n, k, rule", [(6, 0, "k must be >= 1"),
+                                            (-1, 10, "n must be a positive even integer")],
+                             ids=["k0", "n-1"])
+    def test_bad_groups_named_before_the_bound(self, n, k, rule):
+        # The bound divides by k and by n + 1: a bare ZeroDivisionError
+        # would name neither.
+        with pytest.raises(ValueError, match=rule):
+            check_prop2(10, RngStream(0, 6), n=n, k=k)
+
     def test_point_mass_population(self):
         report = check_prop2(2000, RngStream(5, 9), n=6, k=10, epsilon_r=1.0,
                              loc=1.0, scale=0.0)

@@ -15,9 +15,11 @@ side's quartiles, the number of pairs the change wins (ties count for
 neither) and whether the medians differ by more than the parent's
 interquartile range.  It then appends one entry per side to
 BENCH_<workload>.json at the root of the repository holding this script:
-the side's git revision, the date, os.cpu_count(), os.getloadavg() before
-and after the pairs, the run length, and each seed's correctness, failed
-operations and metric values.
+the side's git revision, its `rml_lab.cli._host()` (numpy, OpenBLAS core
+and SIMD targets, read in a subprocess on the tree's own src/; null if that
+tree has none), the date, os.cpu_count(), os.getloadavg() before and after
+the pairs, the run length in seconds (a float), and each seed's
+correctness, failed operations and metric values.
 """
 
 from __future__ import annotations
@@ -44,6 +46,15 @@ def revision(tree: Path) -> str:
 
     head = git("rev-parse", "HEAD")
     return head + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
+
+
+def host(tree: Path) -> dict | None:
+    """cli._host() of the tree's own rml_lab, or None when it has none."""
+    done = subprocess.run([sys.executable, "-c", "import json, rml_lab.cli as cli; "
+                           "print(json.dumps(cli._host()))"],
+                          cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                          capture_output=True, text=True)
+    return json.loads(done.stdout) if done.returncode == 0 else None
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -87,7 +98,8 @@ def benchmark(tree: Path) -> tuple[float, dict[str, str]]:
     """The tree's BENCHMARK.json run length and each end-to-end metric's
     name and better direction."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return spec["run_seconds"], {m["name"]: m.get("better", "lower") for m in spec["end_to_end"]}
+    return (float(spec["run_seconds"]),
+            {m["name"]: m.get("better", "lower") for m in spec["end_to_end"]})
 
 
 def record(path: Path, entries: list[dict]) -> None:
@@ -98,6 +110,7 @@ def record(path: Path, entries: list[dict]) -> None:
 def run_pairs(trees: dict[str, Path], revisions: dict[str, str], workload: str,
               pairs: int, first_seed: int, out_dir: Path) -> dict:
     seconds, end_to_end = benchmark(trees["change"])
+    hosts = {side: host(trees[side]) for side in SIDES}
     runs = {side: [] for side in SIDES}
     load_before = os.getloadavg()
     for pair in range(pairs):
@@ -106,7 +119,8 @@ def run_pairs(trees: dict[str, Path], revisions: dict[str, str], workload: str,
     load_after = os.getloadavg()
     date = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     record(out_dir / f"BENCH_{workload}.json", [
-        {"workload": workload, "side": side, "revision": revisions[side], "date": date,
+        {"workload": workload, "side": side, "revision": revisions[side],
+         "host": hosts[side], "date": date,
          "cpu_count": os.cpu_count(), "loadavg_before": list(load_before),
          "loadavg_after": list(load_after), "seconds": seconds, "runs": runs[side]}
         for side in SIDES])
