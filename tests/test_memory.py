@@ -107,7 +107,7 @@ def test_feature_stats_sums_in_blocks(blobs_1e5):
 def test_instance_dependent_works_class_by_class(blobs_1e5):
     # 10^5 samples of 10 classes: no (N, C) transition or cdf array, no
     # whole-N uniforms, flip probabilities or standardized features, no
-    # (N, d) deviation, and uint8 labels (0.7 MB here; Philox passes of
+    # (N, d) deviation, and uint8 labels (0.63 MB here; Philox passes of
     # 8 192 lanes give 1.2, int64 labels 1.35, and whole classes and
     # feature_stats by numpy's std 4.5).
     peak, _ = traced_call(lambda: inject_instance_dependent(blobs_1e5, 0.3, RngStream(0, 24)))
