@@ -122,23 +122,28 @@ def probability_shift(losses, epsilon_bias: float = 1.0) -> tuple[np.ndarray, np
 
 
 def regroup_median(own: np.ndarray, selected: np.ndarray, params: RegroupParams,
-                   perm: np.ndarray) -> np.ndarray:
+                   perm: np.ndarray | None) -> np.ndarray:
     """Per row, the median of n group means and the row's own loss
     (median-of-means; Lugosi & Mendelson, FoCM 2019).
 
     own is (rows,); selected and perm are (rows, n*k).  Group g of row r
     holds selected[r, perm[r, g*k:(g+1)*k]], perm being the caller's random
-    permutation.  With estimator="mean" each row's plain mean is returned.
+    permutation; perm=None groups consecutive columns with no gather, the
+    same bits as the identity permutation.  With estimator="mean" each
+    row's plain mean is returned.
     """
     n, k = params.n, params.k
     rows = own.size
-    if own.shape != (rows,) or selected.shape != (rows, n * k) or perm.shape != selected.shape:
+    perm_shape = None if perm is None else perm.shape
+    if (own.shape != (rows,) or selected.shape != (rows, n * k)
+            or perm_shape not in (None, selected.shape)):
         raise ValueError(f"regroup_median: expected own ({rows},), selected and perm "
-                         f"({rows}, {n * k}); got {own.shape}, {selected.shape}, {perm.shape}")
+                         f"({rows}, {n * k}); got {own.shape}, {selected.shape}, {perm_shape}")
     if params.estimator == "mean":
         return selected.mean(axis=1)
-    row_offsets = np.arange(0, selected.size, n * k)[:, None]
-    means = selected.ravel()[perm + row_offsets].reshape(rows, n, k).mean(axis=2)
+    if perm is not None:
+        selected = selected.ravel()[perm + np.arange(0, selected.size, n * k)[:, None]]
+    means = selected.reshape(rows, n, k).mean(axis=2)
     # n+1 values, odd count: the exact middle order statistic, by partition.
     pool = np.concatenate([means, own[:, None]], axis=1)
     return np.partition(pool, n // 2, axis=1)[:, n // 2]

@@ -83,15 +83,16 @@ def check_prop1(trials: int, m: int, rng: RngStream,
     }
 
 
-def mom_estimate(samples: np.ndarray, n: int, k: int, rng: RngStream) -> np.ndarray:
-    """Regroup-median estimate of each row of n*k+1 loss draws; the final
-    column plays the training sample, the rest are regrouped at random, by
-    the training-path kernel so the two stay bit-identical."""
+def mom_estimate(samples: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Regroup-median estimate of each row of n*k+1 iid loss draws, by the
+    training-path kernel.  The final column plays the training sample and
+    the rest form n groups of k consecutive draws.  The draws are iid, so
+    any fixed grouping gives the estimate the same law as a random regroup,
+    and none is drawn."""
     values = np.asarray(samples, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != n * k + 1:
         raise ValueError(f"mom_estimate: expected rows of {n * k + 1} samples, got {values.shape}")
-    perm = np.argsort(rng.random((values.shape[0], n * k)), axis=1)
-    return rml.regroup_median(values[:, -1], values[:, :-1], rml.RegroupParams(n=n, k=k), perm)
+    return rml.regroup_median(values[:, -1], values[:, :-1], rml.RegroupParams(n=n, k=k), None)
 
 
 def check_prop2(trials: int, rng: RngStream, n: int = 6, k: int = 10,
@@ -103,9 +104,8 @@ def check_prop2(trials: int, rng: RngStream, n: int = 6, k: int = 10,
     One-sided: the bound is loose by construction, so acceptance is
     rate <= bound + 3 binomial standard errors.  Vacuous-bound
     configurations are reported, not failed.  Trial t is row t of
-    rng.child(0)'s normals and of rng.child(1)'s regroup uniforms, read in
-    order, in chunks of at most rml.BUDGET draws, so chunking only bounds
-    memory."""
+    rng.child(0)'s normals, read in order, in chunks of at most rml.BUDGET
+    draws, so chunking only bounds memory."""
     if trials < 1:
         raise ValueError("check_prop2: trials must be >= 1")
     if epsilon_r <= 0:
@@ -116,11 +116,11 @@ def check_prop2(trials: int, rng: RngStream, n: int = 6, k: int = 10,
     vacuous = margin <= 0
     draw = n * k + 1
     step = max(1, rml.BUDGET // draw)
-    values_rng, regroup_rng = rng.child(0), rng.child(1)
+    values_rng = rng.child(0)
     exceed = 0
     for start in range(0, trials, step):
         values = values_rng.normal(loc, scale, (min(step, trials - start), draw))
-        estimates = mom_estimate(values, n, k, regroup_rng)
+        estimates = mom_estimate(values, n, k)
         exceed += int(np.count_nonzero(np.abs(estimates - loc) > epsilon_r))
     rate = exceed / trials
     stderr = math.sqrt(max(rate * (1 - rate), 0.0) / trials)
@@ -146,7 +146,7 @@ def check_mom_robustness(ns: tuple[int, ...] = (2, 4, 6),
     For each (n, k): the n+1 median inputs are n means of random groups of
     k and a sample loss; replace every subset of at most ceil((n+1)/2)-1 of
     them with every +-corrupt_value pattern.  Each corrupted pool is a row of
-    one training-kernel call (k=1, identity permutation), and its median must
+    one training-kernel call (k=1, no regroup), and its median must
     stay within [min, max] of the untouched values in all cases.
     """
     from itertools import combinations, product
@@ -171,7 +171,7 @@ def check_mom_robustness(ns: tuple[int, ...] = (2, 4, 6),
                         high.append(untouched.max())
             rows = np.array(rows)
             estimates = rml.regroup_median(rows[:, -1], rows[:, :-1], rml.RegroupParams(n=n, k=1),
-                                           np.broadcast_to(np.arange(n), (len(rows), n)))
+                                           None)
             cases += len(rows)
             violations += int(np.count_nonzero((estimates < low) | (estimates > high)))
     return {

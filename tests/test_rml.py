@@ -205,6 +205,25 @@ class TestRegroupMedian:
                              RegroupParams(n=2, k=4, estimator="mean"), _perms(2, 8, RngStream(4)))
         assert est.tolist() == [3.5, 10.5]
 
+    @pytest.mark.parametrize("n, k", [(2, 1), (6, 10), (6, 20)])
+    def test_no_perm_is_the_identity_bit_for_bit(self, n, k):
+        # perm=None groups consecutive columns: the identity permutation's
+        # groups, with no gather, on the strided view verify passes.
+        rng = RngStream(n * 100 + k)
+        values = rng.normal(1.0, 1.0, (300, n * k + 1))
+        own, selected = values[:, -1], values[:, :-1]
+        identity = np.broadcast_to(np.arange(n * k), selected.shape)
+        params = RegroupParams(n=n, k=k)
+        np.testing.assert_array_equal(regroup_median(own, selected, params, None),
+                                      regroup_median(own, selected, params, identity))
+
+    def test_wrong_perm_shape_named(self):
+        with pytest.raises(ValueError, match=r"got \(2,\), \(2, 4\), \(2, 3\)"):
+            regroup_median(np.ones(2), np.ones((2, 4)), RegroupParams(n=2, k=2),
+                           np.zeros((2, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match=r"got \(2,\), \(2, 3\), None"):
+            regroup_median(np.ones(2), np.ones((2, 3)), RegroupParams(n=2, k=2), None)
+
     def test_length_mismatch(self):
         index = np.zeros((1, 4), dtype=np.int64)
         for own, selected, perm in [

@@ -105,18 +105,18 @@ class TestCheckProp1:
 
 class TestMomEstimate:
     def test_delegates_bit_for_bit(self):
-        # One row per trial through the training kernel, each row regrouped
-        # by the argsort of its own uniforms.
+        # One row per trial through the training kernel, grouped in draw
+        # order: group g holds columns g*k to (g+1)*k - 1.
         values = np.random.default_rng(2).uniform(0, 5, (30, 13))
-        a = mom_estimate(values, 6, 2, RngStream(3, 8))
-        perm = np.argsort(RngStream(3, 8).random((30, 12)), axis=1)
-        b = regroup_median(values[:, -1], values[:, :-1], RegroupParams(n=6, k=2), perm)
+        a = mom_estimate(values, 6, 2)
+        b = regroup_median(values[:, -1], values[:, :-1], RegroupParams(n=6, k=2),
+                           np.broadcast_to(np.arange(12), (30, 12)))
         np.testing.assert_array_equal(a, b)
 
     def test_shape_guard(self):
         for shape in [(12,), (13,), (2, 12)]:
             with pytest.raises(ValueError):
-                mom_estimate(np.zeros(shape), 6, 2, RngStream(4))
+                mom_estimate(np.zeros(shape), 6, 2)
 
 
 class TestDeviationBound:
@@ -168,16 +168,16 @@ class TestCheckProp2:
     @staticmethod
     def _spied_prop2(monkeypatch, budget):
         # check_prop2's report, the value rows mom_estimate received and the
-        # regroup permutations regroup_median received, under `budget`.
+        # perm argument of each regroup_median call, under `budget`.
         monkeypatch.setattr(rml, "BUDGET", budget)
         values, perms = [], []
 
-        def estimate_spy(samples, n, k, rng):
+        def estimate_spy(samples, n, k):
             values.append(samples.copy())
-            return mom_estimate(samples, n, k, rng)
+            return mom_estimate(samples, n, k)
 
         def median_spy(own, drawn, params, perm):
-            perms.append(perm.copy())
+            perms.append(perm)
             return regroup_median(own, drawn, params, perm)
 
         monkeypatch.setattr(verify, "mom_estimate", estimate_spy)
@@ -186,20 +186,18 @@ class TestCheckProp2:
         return report, values, perms
 
     def test_rows_do_not_depend_on_the_budget(self, monkeypatch):
-        # Trial t is row t of rng.child(0)'s normals and of rng.child(1)'s
-        # regroup uniforms, so the default budget (chunks of 268 trials)
-        # and a budget of 700 draws (chunks of 11) read the same rows.
+        # Trial t is row t of rng.child(0)'s normals, grouped in draw order,
+        # so the default budget (chunks of 268 trials) and a budget of 700
+        # draws (chunks of 11) read the same rows and regroup none of them.
         want = self._spied_prop2(monkeypatch, rml.BUDGET)
         got = self._spied_prop2(monkeypatch, 700)
         assert [len(chunk) for chunk in want[1]] == [268] * 7 + [124]
         assert [len(chunk) for chunk in got[1]] == [11] * 181 + [9]
         assert got[0] == want[0]
-        rng = RngStream(6, 9)
-        for rows, expected in ((want[1], rng.child(0).normal(1.0, 1.0, (2_000, 61))),
-                               (got[1], rng.child(0).normal(1.0, 1.0, (2_000, 61))),
-                               (want[2], np.argsort(rng.child(1).random((2_000, 60)), axis=1)),
-                               (got[2], np.argsort(rng.child(1).random((2_000, 60)), axis=1))):
+        expected = RngStream(6, 9).child(0).normal(1.0, 1.0, (2_000, 61))
+        for rows, perms in (want[1:], got[1:]):
             np.testing.assert_array_equal(np.concatenate(rows), expected)
+            assert len(perms) == len(rows) and all(perm is None for perm in perms)
 
     @pytest.mark.parametrize("epsilon_r,exact", [(0.4, 1.370e-2), (0.5, 2.196e-3)])
     def test_rate_matches_the_exact_rate(self, epsilon_r, exact):
@@ -242,7 +240,7 @@ class TestCheckProp2:
         values = np.concatenate([rng.normal(1.0, 0.1, (trials, 5)),
                                  np.tile([1e9, -1e9], (trials, 1))], axis=1)
         values = np.take_along_axis(values, np.argsort(rng.random((trials, 7)), axis=1), axis=1)
-        estimate = mom_estimate(values, 6, 1, rng)
+        estimate = mom_estimate(values, 6, 1)
         assert np.mean(np.abs(estimate - 1.0) <= 0.5) >= 0.99
 
 
@@ -266,6 +264,24 @@ class TestMomRobustness:
         assert [s[:2] for s in seen] == [(2, 1), (2, 1), (4, 1), (4, 1)]
         assert sum(s[2] for s in seen) == report["trials"] == 2 * (3 * 2 + 5 * 2 + 10 * 4)
 
+
+    def test_no_perm_gives_the_identity_report(self, monkeypatch):
+        # The pools pass perm=None; the identity permutation gives the same
+        # estimates and so the same report.
+        want = check_mom_robustness()
+        seen = []
+
+        def identity_spy(own, selected, params, perm):
+            assert perm is None
+            got = regroup_median(own, selected, params, perm)
+            identity = np.broadcast_to(np.arange(selected.shape[1]), selected.shape)
+            np.testing.assert_array_equal(got, regroup_median(own, selected, params, identity))
+            seen.append(len(got))
+            return got
+
+        monkeypatch.setattr(rml, "regroup_median", identity_spy)
+        assert check_mom_robustness() == want
+        assert sum(seen) == want["trials"]
 
 def _separated_losses():
     # Class 0: members 0..5 clean (loss 0.5) and 6..9 noisy (loss 3.0).
