@@ -95,6 +95,23 @@ def mom_estimate(samples: np.ndarray, n: int, k: int) -> np.ndarray:
     return rml.regroup_median(values[:, -1], values[:, :-1], rml.RegroupParams(n=n, k=k), None)
 
 
+def _exact_rate(n: int, k: int, epsilon_r: float, scale: float) -> float:
+    """P[|estimate - loc| > epsilon_r] for the median of n means of k iid
+    normal(loc, scale) draws and one more draw.  The estimate exceeds
+    loc + epsilon_r iff at least n/2 + 1 of its n + 1 median inputs do: each
+    mean, a normal(loc, scale^2/k), with p1, the own draw with p2 (David &
+    Nagaraja, Order Statistics, 2003); twice that, by symmetry."""
+    if scale == 0:
+        return 0.0
+    p1 = 0.5 * math.erfc(epsilon_r * math.sqrt(k) / (scale * math.sqrt(2)))
+    p2 = 0.5 * math.erfc(epsilon_r / (scale * math.sqrt(2)))
+
+    def at_least(j):
+        return sum(math.comb(n, i) * p1 ** i * (1 - p1) ** (n - i) for i in range(j, n + 1))
+
+    return 2 * (p2 * at_least(n // 2) + (1 - p2) * at_least(n // 2 + 1))
+
+
 def check_prop2(trials: int, rng: RngStream, n: int = 6, k: int = 10,
                 epsilon_r: float = 1.2, loc: float = 1.0, scale: float = 1.0) -> dict:
     """Monte Carlo exceedance rate of the regroup-median estimate of a
@@ -103,13 +120,19 @@ def check_prop2(trials: int, rng: RngStream, n: int = 6, k: int = 10,
     loss-processing bias, and scale=0 makes the population a point mass.
     One-sided: the bound is loose by construction, so acceptance is
     rate <= bound + 3 binomial standard errors.  Vacuous-bound
-    configurations are reported, not failed.  Trial t is row t of
-    rng.child(0)'s normals, read in order, in chunks of at most rml.BUDGET
-    draws, so chunking only bounds memory."""
+    configurations are reported, not failed.  The report also gives the
+    exact rate and the Monte Carlo rate's binomial z against it (0 where
+    the exact law is a point mass).  Trial t is row t of rng.child(0)'s
+    normals, read in order, in chunks of at most rml.BUDGET draws, so
+    chunking only bounds memory."""
     if trials < 1:
         raise ValueError("check_prop2: trials must be >= 1")
-    if epsilon_r <= 0:
+    if not epsilon_r > 0:
         raise ValueError("check_prop2: epsilon_r must be > 0")
+    if not math.isfinite(loc):
+        raise ValueError(f"check_prop2: loc must be finite, got {loc}")
+    if not 0 <= scale < math.inf:
+        raise ValueError(f"check_prop2: scale must be finite and >= 0, got {scale}")
     rml.RegroupParams(n=n, k=k)   # names a bad n or k before the bound divides by them
     var = scale ** 2
     bound, margin = deviation_bound(n, k, var, epsilon_r)
@@ -124,11 +147,15 @@ def check_prop2(trials: int, rng: RngStream, n: int = 6, k: int = 10,
         exceed += int(np.count_nonzero(np.abs(estimates - loc) > epsilon_r))
     rate = exceed / trials
     stderr = math.sqrt(max(rate * (1 - rate), 0.0) / trials)
+    exact = _exact_rate(n, k, epsilon_r, scale)
+    exact_stderr = math.sqrt(exact * (1 - exact) / trials)
     return {
         "check": "prop2",
         "trials": trials,
         "statistic": rate,
         "bound": bound,
+        "exact_rate": exact,
+        "z": (rate - exact) / exact_stderr if exact_stderr > 0 else 0.0,
         "pass": True if vacuous else bool(rate <= bound + 3 * stderr),
         "vacuous": vacuous,
         "margin": margin,

@@ -1,5 +1,6 @@
 """tools/bench_pairs.py against stand-in source trees whose perfbench/run.py
-prints a fixed summary per seed and logs the order the trees ran in."""
+prints a fixed summary per seed (with a per-layer metric when traced) and
+logs the order the trees ran in."""
 
 import importlib.util
 import json
@@ -21,9 +22,12 @@ with open({log!r}, "a") as log:
     log.write({side!r} + " " + args["--workload"] + " " + str(seed) + " "
               + args["--seconds"] + " " + args["--trace"] + "\\n")
 print("a line before the summary")
-print(json.dumps({{"correct": True, "attempted": 7, "failed": 0, "metrics": {{
-    "run_s": {{"value": 1.0 + 0.01 * seed, "unit": "s"}},
-    "peak_rss_mb": {{"value": {rss} + 0.1 * (seed % 3), "unit": "MB"}}}}}}))
+if args["--trace"] == "1":
+    metrics = {{"verify.check_prop2_s": {{"value": {rss} / 100, "unit": "s"}}}}
+else:
+    metrics = {{"run_s": {{"value": 1.0 + 0.01 * seed, "unit": "s"}},
+               "peak_rss_mb": {{"value": {rss} + 0.1 * (seed % 3), "unit": "MB"}}}}
+print(json.dumps({{"correct": True, "attempted": 7, "failed": 0, "metrics": metrics}}))
 """
 
 
@@ -57,7 +61,7 @@ def test_pairs_alternate_and_append_one_entry_per_side(tmp_path, capsys):
     assert log.read_text().splitlines() == [
         f"{side} verify_suite {seed} 2.0 0" for side, seed in
         [("parent", 5), ("change", 5), ("change", 6), ("parent", 6), ("parent", 7),
-         ("change", 7)]]
+         ("change", 7)]] + ["parent verify_suite 5 2.0 1", "change verify_suite 5 2.0 1"]
     entries = json.loads((out / "BENCH_verify_suite.json").read_text())
     assert [(e["side"], e["revision"]) for e in entries] == [("parent", "aaa"),
                                                             ("change", "bbb")]
@@ -70,11 +74,15 @@ def test_pairs_alternate_and_append_one_entry_per_side(tmp_path, capsys):
         assert [r["seed"] for r in entry["runs"]] == [5, 6, 7]
         assert [r["metrics"]["peak_rss_mb"] for r in entry["runs"]] == \
             pytest.approx([rss + 0.2, rss, rss + 0.1])
+        # One traced run per side, on the first seed, holds the layer split.
+        assert entry["traced"] == {"seed": 5, "correct": True, "attempted": 7, "failed": 0,
+                                   "metrics": {"verify.check_prop2_s": rss / 100}}
     report = capsys.readouterr().out
     assert "verify_suite peak_rss_mb: parent 45.05/45.1/45.15 -> change 44.05/44.1/44.15" \
         in report
     assert "change better in 3/3; median gap exceeds the parent's IQR" in report
     assert "verify_suite run_s" in report and "change better in 0/3" in report
+    assert "verify_suite traced verify.check_prop2_s: parent 0.45 -> change 0.44" in report
 
     # A second session appends to the history rather than replacing it.
     bench_pairs.main(argv[:7] + ["1"] + argv[8:])

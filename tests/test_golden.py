@@ -64,7 +64,7 @@ PINS = {
             "no_median/teacher.ckpt":
                 "e6fa8f4e7bb9c7046f8583eec57cb911e454bcd5905d8817392132b4b4ba28fe",
             "verify/report.json":
-                "44c59985a33fb96911f394fefba51b765a3b36266a5e19ca16c90072d85a5d79",
+                "2c02011f31eb1822a7ceaa5edc567751d6c39a1a0263af0ab9507197b37912ff",
         },
     },
 }

@@ -143,6 +143,20 @@ class TestCheckProp2:
         with pytest.raises(ValueError, match="epsilon_r must be > 0"):
             check_prop2(10, RngStream(0, 6), epsilon_r=0.0)
 
+    @pytest.mark.parametrize("kwargs, rule", [
+        ({"loc": math.nan}, "loc must be finite, got nan"),
+        ({"loc": -math.inf}, "loc must be finite, got -inf"),
+        ({"scale": -1.0}, "scale must be finite and >= 0, got -1.0"),
+        ({"scale": math.inf}, "scale must be finite and >= 0, got inf"),
+        ({"scale": math.nan}, "scale must be finite and >= 0, got nan"),
+        ({"epsilon_r": math.nan}, "epsilon_r must be > 0"),
+    ], ids=["loc-nan", "loc-inf", "scale-neg", "scale-inf", "scale-nan", "eps-nan"])
+    def test_bad_population_named(self, kwargs, rule):
+        # Unchecked, loc=nan would pass with rate 0 and scale=inf as
+        # vacuous; each is named before any draw.
+        with pytest.raises(ValueError, match=f"check_prop2: {rule}"):
+            check_prop2(10, RngStream(0, 6), **kwargs)
+
     @pytest.mark.parametrize("n, k, rule", [(6, 0, "k must be >= 1"),
                                             (-1, 10, "n must be a positive even integer")],
                              ids=["k0", "n-1"])
@@ -157,6 +171,7 @@ class TestCheckProp2:
                              loc=1.0, scale=0.0)
         assert report["statistic"] == 0.0
         assert report["bound"] == pytest.approx(math.exp(-2 * 7 * 0.25))
+        assert report["exact_rate"] == report["z"] == 0.0
         assert report["pass"]
 
     def test_normal_population_within_bound(self):
@@ -217,6 +232,15 @@ class TestCheckProp2:
         report = check_prop2(trials, RngStream(0, 6), n=n, k=k, epsilon_r=epsilon_r)
         z = (report["statistic"] - rate) / math.sqrt(rate * (1 - rate) / trials)
         assert abs(z) < 5
+        assert report["exact_rate"] == pytest.approx(rate, rel=1e-12)
+        assert report["z"] == pytest.approx(z, rel=1e-9)
+
+    def test_exact_rate_scales_with_the_population(self):
+        # The law depends on epsilon_r / scale alone: scale 2 at radius 0.8
+        # around loc 3 is the unit case at 0.4 (exact rate 1.370e-2).
+        report = check_prop2(20_000, RngStream(1, 6), epsilon_r=0.8, loc=3.0, scale=2.0)
+        assert report["exact_rate"] == pytest.approx(1.370e-2, rel=1e-3)
+        assert abs(report["z"]) < 5
 
     def test_vacuous_configuration_reported(self):
         report = check_prop2(10, RngStream(7, 9), n=2, k=1, epsilon_r=0.5,

@@ -7,19 +7,22 @@ Runs `perfbench/run.py --trace 0` (untraced) for the run_seconds of the
 change tree's BENCHMARK.json in each of two source trees, one process at a
 time: pair i runs both trees on seed
 first_seed + i, the parent first in even pairs and the change first in odd
-ones, so a drift in host load falls on both sides alike.  Only the last
-line of each run's stdout, its JSON summary, is read.
+ones, so a drift in host load falls on both sides alike.  After the pairs,
+each tree makes one `--trace 1` run on first_seed, whose per-layer split
+says where the time went.  Only the last line of each run's stdout, its
+JSON summary, is read.
 
 Per end-to-end metric of the change tree's BENCHMARK.json it prints each
 side's quartiles, the number of pairs the change wins (ties count for
 neither) and whether the medians differ by more than the parent's
-interquartile range.  It then appends one entry per side to
-BENCH_<workload>.json at the root of the repository holding this script:
+interquartile range; then each traced metric, parent against change.  It
+then appends one entry per side to BENCH_<workload>.json at the root of the
+repository holding this script:
 the side's git revision, its `rml_lab.cli._host()` (numpy, OpenBLAS core
 and SIMD targets, read in a subprocess on the tree's own src/; null if that
 tree has none), the date, os.cpu_count(), os.getloadavg() before and after
-the pairs, the run length in seconds (a float), and each seed's
-correctness, failed operations and metric values.
+the pairs, the run length in seconds (a float), each seed's correctness,
+failed operations and metric values, and the traced run's in the same form.
 """
 
 from __future__ import annotations
@@ -57,10 +60,12 @@ def host(tree: Path) -> dict | None:
     return json.loads(done.stdout) if done.returncode == 0 else None
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in `tree`: its last-line JSON summary."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run in `tree`, untraced unless `trace`: its last-line
+    JSON summary."""
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(trace)],
                           cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if not lines:
@@ -117,18 +122,21 @@ def run_pairs(trees: dict[str, Path], revisions: dict[str, str], workload: str,
         for side in pair_order(pair):
             runs[side].append(run_once(trees[side], workload, first_seed + pair, seconds))
     load_after = os.getloadavg()
+    traced = {side: run_once(trees[side], workload, first_seed, seconds, trace=1)
+              for side in SIDES}
     date = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     record(out_dir / f"BENCH_{workload}.json", [
         {"workload": workload, "side": side, "revision": revisions[side],
          "host": hosts[side], "date": date,
          "cpu_count": os.cpu_count(), "loadavg_before": list(load_before),
-         "loadavg_after": list(load_after), "seconds": seconds, "runs": runs[side]}
+         "loadavg_after": list(load_after), "seconds": seconds, "runs": runs[side],
+         "traced": traced[side]}
         for side in SIDES])
     report = {}
     for name, better in end_to_end.items():
         parent, change = ([run["metrics"][name] for run in runs[side]] for side in SIDES)
         report[name] = compare(parent, change, better)
-    return {"runs": runs, "metrics": report}
+    return {"runs": runs, "metrics": report, "traced": traced}
 
 
 def print_report(workload: str, result: dict) -> None:
@@ -141,6 +149,10 @@ def print_report(workload: str, result: dict) -> None:
         print(f"{workload} {name}: parent {parent} -> change {change} (q1/median/q3); "
               f"change better in {c['wins']}/{c['pairs']}; median gap "
               f"{'exceeds' if c['beyond_iqr'] else 'within'} the parent's IQR")
+    parent, change = (result["traced"][side] for side in SIDES)
+    for name in sorted(parent["metrics"].keys() & change["metrics"].keys()):
+        print(f"{workload} traced {name}: parent {parent['metrics'][name]:.4g} -> change "
+              f"{change['metrics'][name]:.4g}")
 
 
 def main(argv=None) -> int:
