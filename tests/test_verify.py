@@ -288,7 +288,6 @@ class TestMomRobustness:
         assert [s[:2] for s in seen] == [(2, 1), (2, 1), (4, 1), (4, 1)]
         assert sum(s[2] for s in seen) == report["trials"] == 2 * (3 * 2 + 5 * 2 + 10 * 4)
 
-
     def test_no_perm_gives_the_identity_report(self, monkeypatch):
         # The pools pass perm=None; the identity permutation gives the same
         # estimates and so the same report.
@@ -306,6 +305,7 @@ class TestMomRobustness:
         monkeypatch.setattr(rml, "regroup_median", identity_spy)
         assert check_mom_robustness() == want
         assert sum(seen) == want["trials"]
+
 
 def _separated_losses():
     # Class 0: members 0..5 clean (loss 0.5) and 6..9 noisy (loss 3.0).
